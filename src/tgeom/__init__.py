@@ -58,11 +58,8 @@ from .equivalence import (
     ClassPartition,
     Counterexample,
     EquivalenceWitness,
-    Fingerprint,
     equivalence_classes,
     equivalent,
-    fingerprint,
-    product_grids,
 )
 from .linear import (
     SEARCH_LIMIT,

@@ -2,10 +2,13 @@
 
 Two anchored vectors are equivalent when their scalar products against
 every ordered probe pair agree, in both argument slots, within the
-space tolerance. The quantifier is materialized as a fingerprint: the
-full grid of probe responses. Fingerprint entries are computed with the
-same term order as :func:`tgeom.vectors.scalar_product`, so the two
-paths agree bit for bit.
+space tolerance. The response of v = (P0, P1) to the probe (Q0, Q1) is
+d[Q1] - d[Q0] in the first slot, d = σ(P0, ·) - σ(P1, ·), and e[Q0] - e[Q1]
+in the second, e = σ(·, P1) - σ(·, P0). So v ~ w exactly when each half of
+the difference of their fingerprint rows (d | e) spans at most the
+tolerance: the range rule behind every decision here and in
+:mod:`tgeom.linear`. It can differ from the oracle's probe-by-probe
+four-term test only within a few ulps of the tolerance.
 """
 
 from __future__ import annotations
@@ -20,15 +23,82 @@ from .vectors import Vector
 SIDE_FIRST = "first-slot"
 SIDE_SECOND = "second-slot"
 
+_CHUNK = 1 << 13  # floats per temporary array when checking candidates
 
-def product_grids(space: SigmaSpace, v: Vector) -> tuple[np.ndarray, np.ndarray]:
-    """Probe-response grids of one vector.
+
+def _within(x, eps: float):
+    """|x| <= eps elementwise; NaN compares false, so overflow never agrees."""
+    return np.abs(x) <= eps
+
+
+def _rows_agree(delta: np.ndarray, eps: float) -> np.ndarray:
+    """Range rule on row differences: each half of the last axis spans <= eps."""
+    n = delta.shape[-1] // 2
+    first, second = np.ptp(delta[..., :n], axis=-1), np.ptp(delta[..., n:], axis=-1)
+    return _within(first, eps) & _within(second, eps)
+
+
+def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
+    """Fingerprint rows (d | e) of the vectors (origins[k], ends[k]).
+
+    Each half is shifted to zero at column 0, which the range rule
+    ignores. By default all n² vectors, vector k from point k // n to
+    point k % n. Callers silence overflow with np.errstate.
+    """
+    m = space.matrix
+    if origins is None:
+        origins, ends = np.divmod(np.arange(len(space) ** 2), len(space))
+    d = m[origins] - m[ends]
+    e = m.T[ends] - m.T[origins]
+    return np.concatenate((d - d[:, :1], e - e[:, :1]), axis=1)
+
+
+def _key_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order sorting the rows on their most distinct column, and its sorted keys."""
+    distinct = np.count_nonzero(np.diff(np.sort(rows, axis=0), axis=0), axis=0)
+    keys = rows[:, int(np.argmax(distinct))]
+    order = np.argsort(keys, kind="stable")
+    return order, keys[order]
+
+
+def _window_matches(candidates, keys, queries, targets, eps: float):
+    """Pairs (t, c) where the row targets(t) agrees with candidates[c].
+
+    candidates are sorted on keys; queries holds the same column of the
+    targets. Only a fixed-radius window of keys around each query is
+    checked (Bentley, Stanat & Williams, IPL 1977): agreeing rows are
+    zero at column 0, so each column of their difference is at most eps.
+    A few ulps of slack let rounding add candidates, never drop one; fmax
+    drops the NaN slack of infinite values. Chunks of about _CHUNK floats
+    keep any (targets x candidates x 2n) tensor from being built.
+    """
+    radius = np.fmax(eps + 4 * np.spacing(np.abs(queries) + eps), eps)
+    lo = np.searchsorted(keys, queries - radius, "left")
+    counts = np.searchsorted(keys, queries + radius, "right") - lo
+    base = np.concatenate(([0], np.cumsum(counts)))
+    step = max(1, _CHUNK // candidates.shape[1])
+    found_t, found_c = [], []
+    t0 = 0
+    while t0 < len(counts):
+        t1 = max(t0 + 1, int(np.searchsorted(base, base[t0] + step, "right")) - 1)
+        t = np.repeat(np.arange(t0, t1), counts[t0:t1])
+        c = np.arange(base[t0], base[t1]) - np.repeat(
+            base[t0:t1] - lo[t0:t1], counts[t0:t1]
+        )
+        ok = _rows_agree(targets(t) - candidates[c], eps)
+        found_t.append(t[ok])
+        found_c.append(c[ok])
+        t0 = t1
+    return np.concatenate(found_t), np.concatenate(found_c)
+
+
+def _product_grids(space: SigmaSpace, v: Vector) -> tuple[np.ndarray, np.ndarray]:
+    """Four-term probe responses of one vector, for counterexamples.
 
     Returns two (n, n) arrays indexed [q0, q1]: the first holds the
     scalar products with v in the first argument slot, the second with v
-    in the second slot.
+    in the second slot, in the term order of scalar_product.
     """
-    v = Vector(*v)
     m = space.matrix
     i0, i1 = space.index(v.origin), space.index(v.end)
     first = ((m[i0][None, :] + m[i1][:, None]) - m[i0][:, None]) - m[i1][None, :]
@@ -36,29 +106,6 @@ def product_grids(space: SigmaSpace, v: Vector) -> tuple[np.ndarray, np.ndarray]
         :, i1
     ][None, :]
     return first, second
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """Flat probe responses of one vector.
-
-    values lists the first-slot grid row-major, then the second-slot
-    grid row-major, for a total length of 2·n². Two vectors are
-    equivalent exactly when their fingerprints agree componentwise
-    within the space tolerance.
-    """
-
-    values: np.ndarray
-
-    def agrees_with(self, other: "Fingerprint", tolerance: float) -> bool:
-        return bool((np.abs(self.values - other.values) <= tolerance).all())
-
-
-def fingerprint(space: SigmaSpace, v: Vector) -> Fingerprint:
-    first, second = product_grids(space, v)
-    values = np.concatenate([first.ravel(), second.ravel()])
-    values.setflags(write=False)
-    return Fingerprint(values)
 
 
 @dataclass(frozen=True)
@@ -84,34 +131,44 @@ class EquivalenceWitness:
 def equivalent(space: SigmaSpace, v: Vector, w: Vector) -> EquivalenceWitness:
     """Decide equivalence of two vectors, with a deterministic witness.
 
-    Probes are scanned in point-list order (origin-major); all
-    first-slot comparisons run before any second-slot comparison, and
-    the first failing probe is returned as the counterexample.
+    The decision is the range rule on the two fingerprint rows. The
+    counterexample is the first probe, in point-list order
+    (origin-major, all first-slot probes before any second-slot probe),
+    whose four-term responses differ by more than the tolerance; lhs and
+    rhs are those responses. Only when the two roundings straddle the
+    tolerance does no such probe exist; the witness is then the probe
+    with the widest four-term gap on the side the range rule rejects.
     """
     v, w = Vector(*v), Vector(*w)
     eps = space.tolerance
     n = len(space)
-    v_first, v_second = product_grids(space, v)
-    w_first, w_second = product_grids(space, w)
-    for side, left, right in (
-        (SIDE_FIRST, v_first, w_first),
-        (SIDE_SECOND, v_second, w_second),
-    ):
-        mask = np.abs(left - right) > eps
-        if mask.any():
-            flat = int(np.argmax(mask))  # first True in row-major probe order
-            q0, q1 = divmod(flat, n)
-            return EquivalenceWitness(
-                equivalent=False,
-                counterexample=Counterexample(
-                    probe_origin=space.points[q0],
-                    probe_end=space.points[q1],
-                    side=side,
-                    lhs=float(left[q0, q1]),
-                    rhs=float(right[q0, q1]),
-                ),
-            )
-    return EquivalenceWitness(equivalent=True)
+    origins = [space.index(v.origin), space.index(w.origin)]
+    ends = [space.index(v.end), space.index(w.end)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_v, row_w = _probe_rows(space, origins, ends)
+        delta = row_v - row_w
+        if _rows_agree(delta, eps):
+            return EquivalenceWitness(equivalent=True)
+        grids = list(zip(_product_grids(space, v), _product_grids(space, w)))
+        for half, (left, right) in enumerate(grids):
+            agree = _within(left - right, eps)
+            if not agree.all():
+                q0, q1 = divmod(int(np.argmin(agree)), n)  # first failing probe
+                break
+        else:  # the roundings straddle eps: report the widest four-term gap
+            half = int(bool(_within(np.ptp(delta[:n]), eps)))
+            left, right = grids[half]
+            q0, q1 = divmod(int(np.argmax(np.abs(left - right))), n)
+    return EquivalenceWitness(
+        equivalent=False,
+        counterexample=Counterexample(
+            probe_origin=space.points[q0],
+            probe_end=space.points[q1],
+            side=(SIDE_FIRST, SIDE_SECOND)[half],
+            lhs=float(left[q0, q1]),
+            rhs=float(right[q0, q1]),
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -119,12 +176,13 @@ class ClassPartition:
     """Partition of all n² vectors of a space into equivalence classes.
 
     method records how the partition was obtained: "fingerprint-buckets"
-    when quantized-fingerprint hashing was verified to be consistent, or
-    "union-find" when tolerance effects forced an explicit pairwise
-    closure. coherent is False when the closure glued together vectors
-    that do not all agree pairwise, which can only happen at tolerance
-    boundaries where the relation stops being transitive; such spaces
-    are reported rather than silently forced into a clean partition.
+    when no two distinct fingerprint rows agree, so that groups of
+    identical rows are the classes, or "union-find" when agreement within
+    tolerance forced an explicit pairwise closure. coherent is False
+    when the closure glued together vectors that do not all agree
+    pairwise, which can only happen at tolerance boundaries where the
+    relation stops being transitive; such spaces are reported rather
+    than silently forced into a clean partition.
     """
 
     classes: tuple[tuple[Vector, ...], ...]
@@ -168,89 +226,44 @@ class _UnionFind:
             self.rank[rx] += 1
 
 
-def _fingerprint_matrix(space: SigmaSpace) -> tuple[list[Vector], np.ndarray]:
-    """All n² vectors in index order with their stacked fingerprints."""
-    n = len(space)
-    points = space.points
-    vectors = [Vector(points[i], points[j]) for i in range(n) for j in range(n)]
-    rows = np.empty((n * n, 2 * n * n), dtype=float)
-    for k, vec in enumerate(vectors):
-        first, second = product_grids(space, vec)
-        rows[k, : n * n] = first.ravel()
-        rows[k, n * n :] = second.ravel()
-    return vectors, rows
-
-
 def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     """Partition all vectors of the space into equivalence classes.
 
-    Fast path: fingerprints are quantized to multiples of the tolerance
-    and hashed into buckets; every within-bucket pair is then verified,
-    and bucket representatives are cross-checked so a boundary split
-    cannot slip through. Quantization is only an accelerator: any
-    inconsistency falls back to an explicit union-find closure over
-    pairwise comparisons. Output order is deterministic: vectors inside
-    a class sorted lexicographically, classes sorted by first member.
+    Vectors with identical fingerprint rows form buckets; a row that
+    overflowed agrees with nothing and is a bucket of its own. Agreeing
+    pairs of buckets are found by a window lookup on one sorted column
+    and merged by an explicit union-find closure. Output order is
+    deterministic: vectors inside a class sorted lexicographically,
+    classes sorted by first member.
     """
     eps = space.tolerance
-    vectors, rows = _fingerprint_matrix(space)
-    count = len(vectors)
+    n = len(space)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _probe_rows(space)
+        finite = np.isfinite(rows).all(axis=1)
+        buckets, inverse = np.unique(rows[finite], axis=0, return_inverse=True)
+        order, keys = _key_order(buckets)
+        ordered = buckets[order]
+        t, c = _window_matches(ordered, keys, keys, lambda t: ordered[t], eps)
+    a, b = order[t[t < c]], order[c[t < c]]  # each pair once
 
-    def agree(a: int, b: int) -> bool:
-        return bool((np.abs(rows[a] - rows[b]) <= eps).all())
+    bucket_of = np.cumsum(~finite) - 1 + len(buckets)
+    bucket_of[finite] = inverse.ravel()
+    uf = _UnionFind(int(bucket_of.max()) + 1)
+    for x, y in zip(a.tolist(), b.tolist()):
+        uf.union(x, y)
+    roots = np.array([uf.find(x) for x in range(len(uf.parent))])
+    # Coherent when each merged class is a clique of agreeing buckets.
+    sizes = np.bincount(roots, minlength=len(roots))
+    edges = np.bincount(roots[a], minlength=len(roots))
+    coherent = bool((edges == sizes * (sizes - 1) // 2).all())
+    method = "union-find" if len(a) else "fingerprint-buckets"
 
-    buckets: dict[tuple, list[int]] = {}
-    for k in range(count):
-        if eps > 0.0:
-            key = tuple(np.rint(rows[k] / eps).tolist())
-        else:
-            key = tuple(rows[k].tolist())
-        buckets.setdefault(key, []).append(k)
-
-    groups = list(buckets.values())
-    consistent = all(
-        agree(a, b)
-        for members in groups
-        for i, a in enumerate(members)
-        for b in members[i + 1 :]
-    )
-    if consistent:
-        # Representatives of distinct buckets must be inequivalent, else
-        # quantization split a class at a boundary.
-        reps = [members[0] for members in groups]
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if agree(reps[i], reps[j]):
-                    consistent = False
-                    break
-            if not consistent:
-                break
-
-    if consistent:
-        classes = groups
-        method = "fingerprint-buckets"
-        coherent = True
-    else:
-        uf = _UnionFind(count)
-        for a in range(count):
-            for b in range(a + 1, count):
-                if agree(a, b):
-                    uf.union(a, b)
-        by_root: dict[int, list[int]] = {}
-        for k in range(count):
-            by_root.setdefault(uf.find(k), []).append(k)
-        classes = list(by_root.values())
-        method = "union-find"
-        coherent = all(
-            agree(a, b)
-            for members in classes
-            for i, a in enumerate(members)
-            for b in members[i + 1 :]
-        )
-
-    sorted_classes = sorted(
-        tuple(sorted(vectors[k] for k in members)) for members in classes
-    )
+    points = space.points
+    members: dict[int, list[Vector]] = {}
+    for k, r in enumerate(roots[bucket_of].tolist()):
+        members.setdefault(r, []).append(Vector(points[k // n], points[k % n]))
+    sorted_classes = sorted(tuple(sorted(group)) for group in members.values())
     return ClassPartition(
         classes=tuple(sorted_classes), method=method, coherent=coherent
     )

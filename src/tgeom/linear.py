@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChainMismatch, NotGuaranteed, SearchLimitExceeded
-from .equivalence import _fingerprint_matrix, product_grids
+from .equivalence import _key_order, _probe_rows, _rows_agree, _window_matches, _within
 from .space import SigmaSpace
 from .vectors import Vector
 
@@ -187,43 +187,35 @@ def solve_combination(
 ) -> CombinationResult:
     """Exhaustively solve α·v + β·w over all candidate point pairs.
 
-    A candidate (S0, S1) is a solution when its probe-response grids
-    match α·(grids of v) + β·(grids of w) componentwise within the
-    space tolerance, in both argument slots. Candidates are first pruned
-    against the probe row anchored at the first point, then survivors
-    are verified against the full grids; the pruning row is computed
-    with the identical expression, so no true solution can be dropped.
+    A candidate (S0, S1) is a solution when its fingerprint row matches
+    the target α·(row of v) + β·(row of w) under the range rule, which
+    is the probe-response match in both argument slots. Candidates are
+    first pruned on the first-slot half of the row, then survivors are
+    checked on both halves.
     """
     _check_limit(space, limit, force)
     v, w = Vector(*v), Vector(*w)
     n = len(space)
     m = space.matrix
     eps = space.tolerance
-    a, b = c.alpha, c.beta
+    origins = [space.index(v.origin), space.index(w.origin)]
+    ends = [space.index(v.end), space.index(w.end)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_v, row_w = _probe_rows(space, origins, ends)
+        target = c.alpha * row_v + c.beta * row_w
+        # Row s0·n + s1 is the first half of that candidate's fingerprint
+        # row, the same floats as _probe_rows, so the prune drops nothing
+        # the full check or the survey would accept. In place, because
+        # fresh n³ temporaries cost page faults.
+        first = (m[:, None, :] - m[None, :, :]).reshape(-1, n)
+        first -= first[:, :1].copy()
+        first -= target[:n]
+        keep = np.flatnonzero(_within(np.ptp(first, axis=1), eps))
+        s0, s1 = np.divmod(keep, n)
+        keep = keep[_rows_agree(_probe_rows(space, s0, s1) - target, eps)]
 
-    v1, v2 = product_grids(space, v)
-    w1, w2 = product_grids(space, w)
-    target_first = a * v1 + b * w1
-    target_second = a * v2 + b * w2
-
-    # Prune on the first-slot responses to probes (points[0], q1):
-    # row[s0, s1, q1] = ((m[s0,q1] + m[s1,0]) - m[s0,0]) - m[s1,q1]
-    col0 = m[:, 0]
-    row = ((m[:, None, :] + col0[None, :, None]) - col0[:, None, None]) - m[None, :, :]
-    survivors = np.argwhere(
-        (np.abs(row - target_first[0][None, None, :]) <= eps).all(axis=2)
-    )
-
-    solutions: list[Vector] = []
-    for s0, s1 in survivors:
-        candidate = Vector(space.points[int(s0)], space.points[int(s1)])
-        c1, c2 = product_grids(space, candidate)
-        if (np.abs(c1 - target_first) <= eps).all() and (
-            np.abs(c2 - target_second) <= eps
-        ).all():
-            solutions.append(candidate)
-    solutions.sort()
-
+    points = space.points
+    solutions = sorted(Vector(points[k // n], points[k % n]) for k in keep.tolist())
     case = guaranteed_case(space, c, v, w)
     return CombinationResult(
         solutions=tuple(solutions),
@@ -272,40 +264,35 @@ def survey_linearity(
     For every coefficient pair, all n⁴ ordered pairs of vectors (v, w)
     are classified: a pair is solvable when at least one candidate
     solves the combination, and guaranteed when an always-defined case
-    applies. Vectors with bitwise-identical fingerprints are collapsed
-    before the existence checks, which leaves per-pair semantics intact
-    (identical fingerprints give identical targets) while making grid
-    surveys cheap.
+    applies. Vectors with identical fingerprint rows are collapsed, which
+    leaves per-pair semantics intact, and the targets of all pairs of
+    representatives are looked up at once in a window on one sorted
+    column. A row that overflowed matches nothing.
     """
     _check_limit(space, limit, force)
     n = len(space)
     eps = space.tolerance
-    vectors, rows_fp = _fingerprint_matrix(space)
-    count = len(vectors)
-
-    groups: dict[bytes, list[int]] = {}
-    for k in range(count):
-        groups.setdefault(rows_fp[k].tobytes(), []).append(k)
-    reps = [(members[0], len(members)) for members in groups.values()]
-
-    # Endpoint index arrays for the coincidence counts: vector k has
-    # origin index k // n and end index k % n.
-    origins = np.repeat(np.arange(n), n)
-    ends = np.tile(np.arange(n), n)
+    count = n * n
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _probe_rows(space)
+        rows = rows[np.isfinite(rows).all(axis=1)]
+        reps, sizes = np.unique(rows, axis=0, return_counts=True)
+        order, keys = _key_order(reps)
+        reps, sizes = reps[order], sizes[order]
+    u = len(reps)
+    weight = np.outer(sizes, sizes).ravel()
+    origins, ends = np.divmod(np.arange(count), n)  # endpoints of vector k
 
     out: list[SurveyRow] = []
     for c in coeff_list:
         a, b = c.alpha, c.beta
-        solvable = 0
-        for rep_v, size_v in reps:
-            fv = rows_fp[rep_v]
-            for rep_w, size_w in reps:
-                target = a * fv + b * rows_fp[rep_w]
-                exists = bool(
-                    (np.abs(rows_fp - target[None, :]) <= eps).all(axis=1).any()
-                )
-                if exists:
-                    solvable += size_v * size_w
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Target t combines reps[t // u] and reps[t % u].
+            queries = np.add.outer(a * keys, b * keys).ravel()
+            found, _ = _window_matches(
+                reps, keys, queries, lambda t: a * reps[t // u] + b * reps[t % u], eps
+            )
+        solvable = int(weight[np.unique(found)].sum())
 
         pattern = _coefficient_pattern(a, b)
         if pattern in (GuaranteedCase.ZERO, GuaranteedCase.SINGLE_VECTOR):

@@ -48,8 +48,8 @@ def scalar_product(space: SigmaSpace, v: Vector, w: Vector) -> float:
     """Scalar product of two point pairs.
 
     Computed as σ(P0,Q1) + σ(P1,Q0) - σ(P0,Q0) - σ(P1,Q1) with the terms
-    summed left to right; the order is fixed so results are reproducible
-    bit for bit across code paths.
+    summed left to right; the order is fixed so that counterexamples and
+    the oracle reproduce these values bit for bit.
     """
     v = Vector(*v)
     w = Vector(*w)

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tgeom import GridSpec, SigmaSpace, build_finite_table, build_grid_space
+from tgeom import (
+    GridSpec,
+    SigmaSpace,
+    build_finite_table,
+    build_grid_space,
+    perturb_table,
+)
 
 
 def make_table(
@@ -32,6 +38,26 @@ def make_table(
             if not symmetric:
                 entries.append((labels[j], labels[i], draw()))
     return build_finite_table(labels, entries, tolerance=tolerance)
+
+
+def perturbed_grid(
+    rng: np.random.Generator, size: int, scale: float, deleted=frozenset()
+) -> SigmaSpace:
+    """2-D grid with every off-diagonal σ moved by up to scale·ε.
+
+    A four-term response mixes four σ values, so responses of vectors
+    with the same displacement drift apart by up to 8·scale·ε: for
+    scales near 1/4 their comparisons straddle the tolerance.
+    """
+    grid = build_grid_space(GridSpec(dim=2, size=size, deleted=frozenset(deleted)))
+    bound = scale * grid.tolerance
+    deltas = [
+        (p, q, float(rng.uniform(-bound, bound)))
+        for p in grid.points
+        for q in grid.points
+        if p != q
+    ]
+    return perturb_table(grid, deltas)
 
 
 @pytest.fixture

@@ -32,6 +32,7 @@ from tgeom import (
     save_space,
     scalar_product,
     solve_combination,
+    survey_linearity,
     verify_identities,
 )
 from tgeom.cli import main as cli_main
@@ -308,3 +309,26 @@ def test_criterion_10_performance_guard():
             brute_force_solve(
                 grid, Coefficients(1.0, 1.0), Vector("p0_0", "p1_0"), Vector("p0_0", "p0_1")
             )
+
+
+def test_criterion_11_survey_performance_guard():
+    with criterion(11, "survey of the 6x6 grid", 10.0):
+        size = 6
+        grid = build_grid_space(GridSpec(dim=2, size=size))  # 1296 vectors
+        (row,) = survey_linearity(grid, [Coefficients(1.0, 1.0)]).rows
+        # A pair is solvable exactly when the sum of its displacements is
+        # itself a displacement on the grid; count pairs per displacement.
+        steps = range(-(size - 1), size)
+        count = {
+            (dx, dy): (size - abs(dx)) * (size - abs(dy))
+            for dx in steps
+            for dy in steps
+        }
+        expected = sum(
+            count[a] * count[b]
+            for a, b in itertools.product(count, repeat=2)
+            if (a[0] + b[0], a[1] + b[1]) in count
+        )
+        assert expected == 1336336
+        assert row.total_pairs == (size * size) ** 4
+        assert row.solvable == expected

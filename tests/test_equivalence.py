@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from tgeom import (
+    Coefficients,
     GridSpec,
+    SigmaSpace,
     UnknownPoint,
     Vector,
     build_coordinate_space,
@@ -16,12 +18,13 @@ from tgeom import (
     build_grid_space,
     equivalence_classes,
     equivalent,
-    fingerprint,
+    solve_combination,
+    survey_linearity,
 )
-from tgeom.equivalence import SIDE_FIRST, _UnionFind
+from tgeom.equivalence import SIDE_FIRST, _probe_rows, _rows_agree, _UnionFind
 from tgeom.oracle import brute_force_equivalent
 
-from conftest import make_table
+from conftest import make_table, perturbed_grid
 
 
 def all_vectors(space):
@@ -64,10 +67,10 @@ def test_fingerprint_agreement_matches_direct_path():
     rng = np.random.default_rng(21)
     for symmetric in (True, False):
         space = make_table(rng, 4, symmetric=symmetric)
-        prints = {v: fingerprint(space, v) for v in all_vectors(space)}
+        rows = dict(zip(all_vectors(space), _probe_rows(space)))
         for v, w in itertools.product(all_vectors(space), repeat=2):
             direct = equivalent(space, v, w).equivalent
-            assert direct == prints[v].agrees_with(prints[w], space.tolerance)
+            assert direct == _rows_agree(rows[v] - rows[w], space.tolerance)
 
 
 def test_witness_present_iff_not_equivalent():
@@ -144,6 +147,99 @@ def test_partition_is_a_partition():
         for cls in partition.classes:
             for v, w in itertools.combinations(cls, 2):
                 assert equivalent(space, v, w).equivalent
+
+
+def _cell_shift(v):
+    """Displacement of a vector between grid labels p<x>_<y>."""
+    (x0, y0), (x1, y1) = (map(int, label[1:].split("_")) for label in v)
+    return (x1 - x0, y1 - y0)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_epsilon_boundary_stress_matches_oracle(size):
+    # Only vectors with the same grid displacement come within ε of each
+    # other; all their pairs are checked, and the class partition (a
+    # closure over every pair) is compared whole. The fast paths decide
+    # by the range rule and the oracle probe by probe, which can differ
+    # only within a few ulps of ε; these seeds hit no such pair.
+    rng = np.random.default_rng(26 + size)
+    outcomes = set()
+    for scale in (0.125, 0.25, 0.5):
+        space = perturbed_grid(rng, size, scale)
+        vectors = all_vectors(space)
+        for v, w in itertools.combinations(vectors, 2):
+            if _cell_shift(v) == _cell_shift(w):
+                expected = brute_force_equivalent(space, v, w)
+                assert equivalent(space, v, w).equivalent == expected, (scale, v, w)
+                outcomes.add(expected)
+        partition = equivalence_classes(space)
+        assert list(partition.classes) == _oracle_partition(space)
+        assert partition.coherent == all(
+            brute_force_equivalent(space, a, b)
+            for cls in partition.classes
+            for a, b in itertools.combinations(cls, 2)
+        )
+    assert outcomes == {True, False}  # the perturbations straddle ε
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflowing_table_keeps_null_class_and_stays_quiet():
+    # Valid finite values whose sums overflow: a null vector's row is
+    # exactly zero, so the null vectors still form one class; rows that
+    # overflow agree with nothing, and no numpy warning escapes.
+    big = 1.5e308
+    space = build_finite_table(
+        ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+    )
+    partition = equivalence_classes(space)
+    null = tuple(Vector(p, p) for p in space.points)
+    assert partition.class_of(Vector("A", "A")) == null
+    assert partition.coherent
+    assert equivalent(space, Vector("A", "A"), Vector("B", "B")).equivalent
+    witness = equivalent(space, Vector("A", "B"), Vector("B", "C"))
+    assert not witness.equivalent and witness.counterexample is not None
+    c = Coefficients(1.0, 1.0)
+    solve_combination(space, c, Vector("A", "B"), Vector("B", "C"))
+    (row,) = survey_linearity(space, [c]).rows
+    assert row.solvable == len(null) ** 2  # only null pairs have finite targets
+
+
+def test_range_rule_and_four_term_differ_only_by_ulps():
+    # Tolerances set exactly at a computed gap expose where the range rule
+    # and the probe-by-probe four-term sums round differently.
+    space = build_finite_table(
+        ["A", "B", "C"],
+        [
+            ("A", "B", 0.8564916714362436),
+            ("A", "C", 2.368105065960997),
+            ("B", "C", 8.012744652063969),
+        ],
+    )
+    m = space.matrix
+
+    def at(tolerance):
+        return SigmaSpace(space.points, m, tolerance=tolerance)
+
+    # Four-term gap 9.524358046588722, range one ulp above it: no single
+    # probe fails, so the witness is the widest four-term gap.
+    tight = at(9.524358046588722)
+    v, w = Vector("A", "A"), Vector("A", "C")
+    assert brute_force_equivalent(tight, v, w)
+    witness = equivalent(tight, v, w)
+    assert not witness.equivalent
+    ce = witness.counterexample
+    assert abs(ce.lhs - ce.rhs) == tight.tolerance
+    # Range one ulp below the four-term gap: the fast path agrees.
+    loose = at(6.501131257539215)
+    assert equivalent(loose, Vector("A", "C"), Vector("B", "C")).equivalent
+    assert not brute_force_equivalent(loose, Vector("A", "C"), Vector("B", "C"))
+    # Null vectors have identical zero rows, while the four-term sums
+    # leave 4.4e-16; at zero tolerance only the oracle separates them.
+    exact = at(0.0)
+    assert equivalent(exact, Vector("A", "A"), Vector("C", "C")).equivalent
+    assert not brute_force_equivalent(exact, Vector("A", "A"), Vector("C", "C"))
+    null = tuple(Vector(p, p) for p in exact.points)
+    assert equivalence_classes(exact).class_of(Vector("A", "A")) == null
 
 
 def test_equivalence_is_transitive_on_exact_spaces():

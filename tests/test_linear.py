@@ -26,7 +26,7 @@ from tgeom import (
 )
 from tgeom.oracle import brute_force_solve
 
-from conftest import make_table
+from conftest import make_table, perturbed_grid
 
 
 def test_negate():
@@ -288,18 +288,46 @@ def test_survey_guaranteed_matches_per_pair_classification(grid22_deleted):
         assert row.guaranteed == manual
 
 
-def test_survey_solvable_matches_solver(grid22_deleted):
+def _assert_survey_matches_solver(space):
     c = Coefficients(1.0, 1.0)
-    row = survey_linearity(grid22_deleted, [c]).rows[0]
-    vectors = [
-        Vector(p, q) for p in grid22_deleted.points for q in grid22_deleted.points
-    ]
+    row = survey_linearity(space, [c]).rows[0]
+    vectors = [Vector(p, q) for p in space.points for q in space.points]
     manual = sum(
         1
         for v, w in itertools.product(vectors, repeat=2)
-        if solve_combination(grid22_deleted, c, v, w).defined
+        if solve_combination(space, c, v, w).defined
     )
     assert row.solvable == manual
+
+
+def test_survey_solvable_matches_solver(grid22_deleted):
+    _assert_survey_matches_solver(grid22_deleted)
+
+
+@pytest.mark.parametrize(
+    "size, deleted", [(3, ()), (4, ((0, 3), (1, 2), (2, 1), (3, 0)))]
+)
+def test_solver_epsilon_boundary_stress_matches_oracle(size, deleted):
+    # The 4x4 grid loses its anti-diagonal to fit the oracle's 12 points.
+    # Perturbed at ε scale, some true grid solutions drop out; the solver
+    # must drop exactly the ones the oracle drops.
+    rng = np.random.default_rng(40 + size)
+    coeffs = [Coefficients(a, b) for a, b in ((1, 1), (1, -1), (2, -1), (0.5, 0.5))]
+    grid = build_grid_space(GridSpec(dim=2, size=size, deleted=frozenset(deleted)))
+    dropped = 0
+    for scale in (0.125, 0.25, 0.5):
+        space = perturbed_grid(rng, size, scale, deleted)
+        points = space.points
+        for _ in range(40):
+            c = coeffs[rng.integers(len(coeffs))]
+            p = [points[i] for i in rng.integers(len(points), size=4)]
+            v, w = Vector(p[0], p[1]), Vector(p[2], p[3])
+            fast = solve_combination(space, c, v, w).solutions
+            assert list(fast) == brute_force_solve(space, c, v, w), (scale, c, v, w)
+            dropped += len(solve_combination(grid, c, v, w).solutions) - len(fast)
+        if size == 3:
+            _assert_survey_matches_solver(space)
+    assert dropped > 0  # the perturbations straddle ε
 
 
 def test_all_chained_pairs_solvable(grid22_deleted):
