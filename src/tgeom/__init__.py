@@ -20,6 +20,8 @@ from .errors import (
     DuplicateEntry,
     DuplicateLabel,
     EmptySpace,
+    InvalidLabel,
+    InvalidTolerance,
     MissingEntry,
     NonFiniteValue,
     NonzeroDiagonal,

@@ -14,6 +14,7 @@ All output is deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from pathlib import Path
@@ -228,8 +229,8 @@ def cmd_random(args) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError("must be > 0")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite real > 0")
     return value
 
 

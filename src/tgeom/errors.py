@@ -11,6 +11,17 @@ class DuplicateLabel(TgeomError):
     """A point label occurs more than once in one space."""
 
 
+class InvalidLabel(TgeomError):
+    """A point label is empty, contains whitespace or is not UTF-8 text.
+
+    Such a label could not be written to a table file and read back.
+    """
+
+
+class InvalidTolerance(TgeomError, ValueError):
+    """A tolerance is negative, NaN or infinite."""
+
+
 class DuplicateEntry(TgeomError):
     """The same ordered point pair was assigned two conflicting values."""
 

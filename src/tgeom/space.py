@@ -17,6 +17,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,8 @@ from .errors import (
     DuplicateEntry,
     DuplicateLabel,
     EmptySpace,
+    InvalidLabel,
+    InvalidTolerance,
     MissingEntry,
     NonFiniteValue,
     NonzeroDiagonal,
@@ -36,13 +39,35 @@ PointId = str
 DEFAULT_TOLERANCE = 1e-9
 
 
-def _first_duplicate(labels: Sequence[str]) -> str | None:
+def _is_token(label: str) -> bool:
+    """True when a table file carries the label back unchanged.
+
+    The file is UTF-8 text whose lines are split on whitespace, so a
+    label must be one non-empty, whitespace-free token that encodes.
+    """
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return label.split() == [label]
+
+
+def _checked_labels(points: Iterable[PointId]) -> tuple[str, ...]:
+    labels = tuple(str(p) for p in points)
+    if not labels:
+        raise EmptySpace("a space needs at least one point")
     seen: set[str] = set()
     for label in labels:
         if label in seen:
-            return label
+            raise DuplicateLabel(f"point label '{label}' occurs more than once")
         seen.add(label)
-    return None
+    for label in labels:
+        if not _is_token(label):
+            raise InvalidLabel(
+                f"point label {label!r} must be a non-empty UTF-8 string "
+                "without whitespace"
+            )
+    return labels
 
 
 def euclidean_sigma(x: Sequence[float], y: Sequence[float]) -> float:
@@ -51,13 +76,20 @@ def euclidean_sigma(x: Sequence[float], y: Sequence[float]) -> float:
     This scaling is the one under which the four-term scalar product of
     two point pairs reduces to the ordinary dot product of their
     displacement vectors. Exactly symmetric in its arguments for every
-    input, since the summands are identical floats either way.
+    input, since the summands are identical floats either way. Squares
+    are products (correctly rounded, unlike ``pow``) summed left to
+    right from 0.0, the arithmetic :func:`build_coordinate_space` does
+    on whole arrays, so both give the same bits.
     """
     if len(x) != len(y):
         raise DimensionMismatch(
             f"cannot pair a {len(x)}-dimensional point with a {len(y)}-dimensional one"
         )
-    return 0.5 * sum((a - b) ** 2 for a, b in zip(x, y))
+    total = 0.0
+    for a, b in zip(x, y):
+        d = a - b
+        total += d * d
+    return 0.5 * total
 
 
 class SigmaSpace:
@@ -71,8 +103,9 @@ class SigmaSpace:
     Instances are normally built through :func:`build_finite_table`,
     :func:`build_coordinate_space` or :func:`build_grid_space`; direct
     construction takes a ready dense matrix. Validation (zero diagonal,
-    finiteness, unique labels) always runs here, so every live space
-    satisfies the invariants.
+    finiteness, unique whitespace-free labels, a finite tolerance >= 0)
+    always runs here, so every live space satisfies the invariants and
+    survives a write/read cycle through a table file.
     """
 
     __slots__ = ("points", "tolerance", "_matrix", "_coords", "_index")
@@ -85,15 +118,10 @@ class SigmaSpace:
         coords: Mapping[PointId, Sequence[float]] | None = None,
         tolerance: float = DEFAULT_TOLERANCE,
     ):
-        labels = tuple(str(p) for p in points)
-        if not labels:
-            raise EmptySpace("a space needs at least one point")
-        dup = _first_duplicate(labels)
-        if dup is not None:
-            raise DuplicateLabel(f"point label '{dup}' occurs more than once")
+        labels = _checked_labels(points)
         tolerance = float(tolerance)
-        if not (tolerance >= 0.0):
-            raise ValueError("tolerance must be a non-negative real")
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise InvalidTolerance("tolerance must be a non-negative finite real")
 
         m = np.array(matrix, dtype=float)
         n = len(labels)
@@ -165,6 +193,64 @@ class SigmaSpace:
         return self._coords[label]
 
 
+class Conflict(NamedTuple):
+    """Entry ``entry`` repeats an ordered pair first given as ``first``
+    and disagrees with it beyond the tolerance (NaN always disagrees)."""
+
+    entry: int
+    first: float
+
+
+class Missing(NamedTuple):
+    """No entry gives the pair (i, j) in either direction."""
+
+    i: int
+    j: int
+
+
+def assemble_matrix(
+    n: int,
+    rows: Sequence[int],
+    cols: Sequence[int],
+    values: Sequence[float],
+    tolerance: float,
+) -> np.ndarray | Conflict | Missing:
+    """Dense n×n matrix from per-entry (row, col, value), or the first offender.
+
+    The first value of an ordered pair wins and each later repeat must
+    agree with it within the tolerance; a pair given in one direction
+    only is mirrored, and an unset diagonal is zero. The offender is the
+    earliest conflicting repeat, else the first pair missing in both
+    directions in row-major i < j order.
+    """
+    keys = np.asarray(rows, dtype=np.intp) * n + np.asarray(cols, dtype=np.intp)
+    vals = np.asarray(values, dtype=float)
+    count = len(keys)
+    first = np.full(n * n, count, dtype=np.intp)
+    np.minimum.at(first, keys, np.arange(count))
+    given = first < count
+    firsts = first[given]
+    if firsts.size < count:  # some ordered pair repeats
+        is_repeat = np.ones(count, dtype=bool)
+        is_repeat[firsts] = False
+        repeats = np.flatnonzero(is_repeat)
+        earlier = first[keys[repeats]]
+        with np.errstate(over="ignore", invalid="ignore"):  # ±inf repeats
+            agree = np.abs(vals[repeats] - vals[earlier]) <= tolerance
+        if not agree.all():
+            k = int(np.flatnonzero(~agree)[0])
+            return Conflict(int(repeats[k]), float(vals[earlier[k]]))
+    del first  # release n² indices before the n² matrix is allocated
+    matrix = np.zeros(n * n)
+    matrix[given] = vals[firsts]
+    given, matrix = given.reshape(n, n), matrix.reshape(n, n)
+    missing = np.triu(~(given | given.T), 1)
+    if missing.any():
+        i, j = np.argwhere(missing)[0]
+        return Missing(int(i), int(j))
+    return np.where(given, matrix, matrix.T)
+
+
 def build_finite_table(
     labels: Iterable[PointId],
     entries: Iterable[tuple[PointId, PointId, float]],
@@ -179,55 +265,58 @@ def build_finite_table(
     default to zero; a supplied diagonal beyond the tolerance is
     rejected. Repeating an ordered pair is an error unless the values
     agree within the tolerance, in which case the first one wins.
+    Errors follow entry order: the earliest bad entry is reported.
     """
-    label_list = [str(p) for p in labels]
-    dup = _first_duplicate(label_list)
-    if dup is not None:
-        raise DuplicateLabel(f"point label '{dup}' occurs more than once")
-    if not label_list:
-        raise EmptySpace("a space needs at least one point")
-    idx = {label: i for i, label in enumerate(label_list)}
+    label_list = _checked_labels(labels)
+    index = {label: i for i, label in enumerate(label_list)}
     n = len(label_list)
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
 
-    grid: list[list[float | None]] = [[None] * n for _ in range(n)]
-    for p, q, value in entries:
-        if p not in idx:
-            raise UnknownPoint(f"entry references unknown point '{p}'")
-        if q not in idx:
-            raise UnknownPoint(f"entry references unknown point '{q}'")
-        i, j = idx[p], idx[q]
-        value = float(value)
-        previous = grid[i][j]
-        if previous is not None:
-            if not (abs(value - previous) <= tolerance):
-                raise DuplicateEntry(
-                    f"pair ({p}, {q}) given twice with conflicting values "
-                    f"{previous!r} and {value!r}"
-                )
-            continue
-        grid[i][j] = value
+    def duplicate(found: Conflict) -> DuplicateEntry:
+        k = found.entry
+        return DuplicateEntry(
+            f"pair ({label_list[rows[k]]}, {label_list[cols[k]]}) given twice "
+            f"with conflicting values {found.first!r} and {values[k]!r}"
+        )
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if grid[i][j] is None and grid[j][i] is None:
-                raise MissingEntry(
-                    f"no value for pair ({label_list[i]}, {label_list[j]})"
-                )
-            if grid[i][j] is None:
-                grid[i][j] = grid[j][i]
-            elif grid[j][i] is None:
-                grid[j][i] = grid[i][j]
-        if grid[i][i] is None:
-            grid[i][i] = 0.0
+    try:
+        for p, q, value in entries:
+            if p not in index:
+                raise UnknownPoint(f"entry references unknown point '{p}'")
+            if q not in index:
+                raise UnknownPoint(f"entry references unknown point '{q}'")
+            values.append(float(value))
+            rows.append(index[p])
+            cols.append(index[q])
+    except Exception:
+        # A conflicting repeat before the bad entry is the earlier error.
+        found = assemble_matrix(n, rows, cols, values, tolerance)
+        if isinstance(found, Conflict):
+            raise duplicate(found) from None
+        raise
 
-    return SigmaSpace(label_list, np.array(grid, dtype=float), tolerance=tolerance)
+    found = assemble_matrix(n, rows, cols, values, tolerance)
+    if isinstance(found, Conflict):
+        raise duplicate(found)
+    if isinstance(found, Missing):
+        raise MissingEntry(
+            f"no value for pair ({label_list[found.i]}, {label_list[found.j]})"
+        )
+    return SigmaSpace(label_list, found, tolerance=tolerance)
 
 
 def build_coordinate_space(
     coords: Mapping[PointId, Sequence[float]],
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> SigmaSpace:
-    """Build a coordinate-backed space; σ is half the squared distance."""
+    """Build a coordinate-backed space; σ is half the squared distance.
+
+    Every entry equals :func:`euclidean_sigma` of its two points bit for
+    bit; coordinates far enough apart to overflow give an infinite σ,
+    which the constructor rejects as non-finite.
+    """
     labels = [str(k) for k in coords]
     if not labels:
         raise EmptySpace("a space needs at least one point")
@@ -244,10 +333,13 @@ def build_coordinate_space(
             raise NonFiniteValue(f"coordinates of point '{label}' are not finite")
 
     n = len(labels)
-    m = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = euclidean_sigma(vectors[i], vectors[j])
+    m = np.zeros((n, n))
+    with np.errstate(over="ignore"):
+        for axis in np.array(vectors).T:
+            d = np.subtract.outer(axis, axis)
+            d *= d
+            m += d
+    m *= 0.5
     return SigmaSpace(
         labels, m, coords=dict(zip(labels, vectors)), tolerance=tolerance
     )

@@ -23,6 +23,7 @@ those as violations), but only a clean table builds a space.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TableParseError
-from .space import DEFAULT_TOLERANCE, SigmaSpace
+from .space import DEFAULT_TOLERANCE, Conflict, Missing, SigmaSpace, assemble_matrix
 
 
 @dataclass(frozen=True)
@@ -48,19 +49,67 @@ class ParsedTable:
 
 
 def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
-    """Parse table-file text, raising TableParseError with the line number."""
+    """Parse table-file text, raising TableParseError with the line number.
+
+    When a file has several problems, the one on the earliest line is
+    reported; a pair missing in both directions is reported just past
+    the last line.
+    """
     labels: list[str] | None = None
     index: dict[str, int] = {}
     tolerance: float | None = None
-    values: dict[tuple[int, int], float] = {}
-    saw_sigma = False
+    eps = DEFAULT_TOLERANCE
+    rows: list[int] = []
+    cols: list[int] = []
+    values: list[float] = []
     line_no = 0
 
+    def conflict(found: Conflict) -> TableParseError:
+        # Every sigma: line either raised or became the next entry, so
+        # entry k stands on the (k+1)-th sigma: line.
+        k = found.entry
+        sigma_lines = (
+            number
+            for number, raw in enumerate(text.splitlines(), start=1)
+            if raw.strip().startswith("sigma:")
+        )
+        return TableParseError(
+            path,
+            next(itertools.islice(sigma_lines, k, None)),
+            f"pair ({labels[rows[k]]}, {labels[cols[k]]}) already has value "
+            f"{found.first!r}, conflicting with {values[k]!r}",
+        )
+
     def fail(reason: str) -> TableParseError:
+        # Repeats are checked only once the pass ends, so a conflicting
+        # repeat on an earlier line takes precedence here.
+        found = assemble_matrix(len(index), rows, cols, values, eps)
+        if isinstance(found, Conflict):
+            return conflict(found)
         return TableParseError(path, line_no, reason)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
+        if line.startswith("sigma:"):
+            if labels is None:
+                raise fail("first directive must be a points: line")
+            parts = line[6:].split()
+            if len(parts) != 3:
+                raise fail("sigma: line needs exactly '<P> <Q> <value>'")
+            p, q, raw_value = parts
+            i = index.get(p)
+            if i is None:
+                raise fail(f"sigma: references unknown point '{p}'")
+            j = index.get(q)
+            if j is None:
+                raise fail(f"sigma: references unknown point '{q}'")
+            try:
+                values.append(float(raw_value))
+            except ValueError:
+                raise fail(f"cannot read sigma value {raw_value!r}") from None
+            rows.append(i)
+            cols.append(j)
+            continue
         if not line or line.startswith("#"):
             continue
         if line.startswith("points:"):
@@ -79,7 +128,7 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
         if line.startswith("tolerance:"):
             if tolerance is not None:
                 raise fail("duplicate tolerance: line")
-            if saw_sigma:
+            if rows:
                 raise fail("tolerance: must come before sigma: lines")
             body = line[len("tolerance:") :].strip()
             try:
@@ -88,52 +137,24 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
                 raise fail(f"cannot read tolerance value {body!r}") from None
             if not (math.isfinite(tolerance) and tolerance >= 0.0):
                 raise fail("tolerance must be a non-negative finite real")
-            continue
-        if line.startswith("sigma:"):
-            saw_sigma = True
-            parts = line[len("sigma:") :].split()
-            if len(parts) != 3:
-                raise fail("sigma: line needs exactly '<P> <Q> <value>'")
-            p, q, raw_value = parts
-            if p not in index:
-                raise fail(f"sigma: references unknown point '{p}'")
-            if q not in index:
-                raise fail(f"sigma: references unknown point '{q}'")
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise fail(f"cannot read sigma value {raw_value!r}") from None
-            key = (index[p], index[q])
-            eps = DEFAULT_TOLERANCE if tolerance is None else tolerance
-            if key in values:
-                if not (abs(values[key] - value) <= eps):
-                    raise fail(
-                        f"pair ({p}, {q}) already has value {values[key]!r}, "
-                        f"conflicting with {value!r}"
-                    )
-                continue
-            values[key] = value
+            eps = tolerance
             continue
         raise fail(f"unknown directive in line {line!r}")
 
     line_no += 1  # report end-of-file problems just past the last line
     if labels is None:
         raise fail("file contains no points: line")
-
-    n = len(labels)
-    matrix = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            forward, backward = values.get((i, j)), values.get((j, i))
-            if forward is None and backward is None:
-                raise fail(f"no sigma value for pair ({labels[i]}, {labels[j]})")
-            matrix[i, j] = backward if forward is None else forward
-            matrix[j, i] = forward if backward is None else backward
-        if (i, i) in values:
-            matrix[i, i] = values[(i, i)]
-
+    found = assemble_matrix(len(labels), rows, cols, values, eps)
+    if isinstance(found, Conflict):
+        raise conflict(found)
+    if isinstance(found, Missing):
+        raise TableParseError(
+            path,
+            line_no,
+            f"no sigma value for pair ({labels[found.i]}, {labels[found.j]})",
+        )
     return ParsedTable(
-        path=path, labels=tuple(labels), tolerance=tolerance, matrix=matrix
+        path=path, labels=tuple(labels), tolerance=tolerance, matrix=found
     )
 
 
@@ -182,24 +203,23 @@ def format_space(space: SigmaSpace) -> str:
     are not exactly zero.
     """
     m = space.matrix
-    n = len(space)
-    lines = [
-        "points: " + " ".join(space.points),
+    points = space.points
+    chunks = [
+        "points: " + " ".join(points),
         f"tolerance: {space.tolerance!r}",
     ]
     exactly_symmetric = bool((m == m.T).all())
-    for i in range(n):
-        if m[i, i] != 0.0:
-            lines.append(
-                f"sigma: {space.points[i]} {space.points[i]} {float(m[i, i])!r}"
-            )
-        for j in range(i + 1, n) if exactly_symmetric else range(n):
-            if j == i:
-                continue
-            lines.append(
-                f"sigma: {space.points[i]} {space.points[j]} {float(m[i, j])!r}"
-            )
-    return "\n".join(lines) + "\n"
+    for i, p in enumerate(points):
+        row = m[i].tolist()
+        prefix = f"sigma: {p} "
+        others = zip(points[i + 1 :], row[i + 1 :])
+        if not exactly_symmetric:
+            others = itertools.chain(zip(points[:i], row[:i]), others)
+        lines = [f"{prefix}{p} {row[i]!r}"] if row[i] != 0.0 else []
+        lines += [f"{prefix}{q} {v!r}" for q, v in others]
+        if lines:
+            chunks.append("\n".join(lines))
+    return "\n".join(chunks) + "\n"
 
 
 def save_space(space: SigmaSpace, path: str | Path) -> None:

@@ -26,6 +26,7 @@ from tgeom import (
     chain_sum,
     equivalence_classes,
     equivalent,
+    euclidean_sigma,
     guaranteed_case,
     load_space,
     negate,
@@ -332,3 +333,16 @@ def test_criterion_11_survey_performance_guard():
         assert expected == 1336336
         assert row.total_pairs == (size * size) ** 4
         assert row.solvable == expected
+
+
+def test_criterion_12_construction_guard():
+    rng = np.random.default_rng(112)
+    with criterion(12, "build the 40x40 grid", 1.0):
+        grid = build_grid_space(GridSpec(dim=2, size=40))  # 1600 points
+        m = grid.matrix
+        assert m.shape == (1600, 1600)
+        assert np.array_equal(m, m.T)  # exactly symmetric
+        for i, j in rng.integers(0, 1600, size=(1000, 2)):
+            x = grid.coordinates(grid.points[i])
+            y = grid.coordinates(grid.points[j])
+            assert m[i, j].tobytes() == np.float64(euclidean_sigma(x, y)).tobytes()

@@ -244,6 +244,9 @@ def test_out_flag_writes_file(tri_file, tmp_path, capsys):
 def test_usage_errors_exit_as_input_errors(tri_file, capsys):
     assert main([]) == 1  # missing subcommand
     assert main(["combine", tri_file, "x", "1", "A", "B", "B", "C"]) == 1
+    # a tolerance must be finite, as in a table file
+    assert main(["check", tri_file, "--tolerance", "inf"]) == 1
+    assert main(["grid", "--dim", "1", "--size", "2", "--tolerance", "inf"]) == 1
     capsys.readouterr()
 
 

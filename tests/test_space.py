@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tgeom import (
@@ -15,9 +16,12 @@ from tgeom import (
     DuplicateLabel,
     EmptySpace,
     GridSpec,
+    InvalidLabel,
+    InvalidTolerance,
     MissingEntry,
     NonFiniteValue,
     NonzeroDiagonal,
+    SigmaSpace,
     UnknownPoint,
     as_table,
     build_coordinate_space,
@@ -28,6 +32,7 @@ from tgeom import (
     perturb_table,
 )
 
+import naive_tablefile as naive
 from conftest import make_table
 
 
@@ -209,3 +214,82 @@ def test_every_constructed_space_has_clean_diagonal(grid33, tri_table):
     ]
     for space in spaces:
         assert np.abs(np.diagonal(space.matrix)).max() <= space.tolerance
+
+
+@pytest.mark.parametrize("label", ["a b", "", "\t", "a\nb", "a\u2028b", "a\x1fb", "\ud800"])
+def test_labels_a_table_file_cannot_carry_are_rejected(label):
+    with pytest.raises(InvalidLabel):
+        build_finite_table([label, "c"], [(label, "c", 1.0)])
+    with pytest.raises(InvalidLabel):
+        SigmaSpace([label], [[0.0]])
+    with pytest.raises(InvalidLabel):
+        build_coordinate_space({label: (0.0,)})
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan, -1.0])
+def test_tolerance_must_be_finite_and_non_negative(tolerance):
+    with pytest.raises(InvalidTolerance, match="non-negative finite"):
+        SigmaSpace(["A", "B"], [[0.0, 1.0], [1.0, 0.0]], tolerance=tolerance)
+    with pytest.raises(InvalidTolerance):
+        build_grid_space(GridSpec(dim=1, size=2), tolerance=tolerance)
+
+
+def test_coordinate_overflow_is_a_typed_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            build_coordinate_space({"a": (1e200, 0.0), "b": (-1e200, 0.0)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_coordinate_space_matches_euclidean_sigma_bitwise(data):
+    dim = data.draw(st.integers(1, 4))
+    coordinate = st.floats(-1e6, 1e6, allow_nan=False)
+    points = data.draw(
+        st.lists(st.tuples(*[coordinate] * dim), min_size=1, max_size=6)
+    )
+    space = build_coordinate_space({f"P{k}": x for k, x in enumerate(points)})
+    want = [[euclidean_sigma(x, y) for y in points] for x in points]
+    assert space.matrix.tobytes() == np.array(want).tobytes()
+
+
+def _build_outcome(build, labels, entries, tolerance):
+    try:
+        space = build(labels, entries, tolerance=tolerance)
+    except Exception as exc:  # the exact type and message are compared
+        return (type(exc), str(exc))
+    return ("ok", space.points, space.matrix.tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_build_finite_table_matches_naive_reference(data):
+    n = data.draw(st.integers(1, 4))
+    labels = [f"P{i}" for i in range(n)]
+    value = st.sampled_from(
+        [1.0, 1.0 + 1e-12, 1.25, 2.5, -3.0, 0.0, math.nan, math.inf, -math.inf]
+    )
+    entries = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for p, q in data.draw(
+                st.sampled_from([[(i, j)], [(j, i)], [(i, j), (j, i)]])
+            ):
+                entries.append((labels[p], labels[q], data.draw(value)))
+    entries = data.draw(st.permutations(entries))
+    extra = st.tuples(
+        st.sampled_from(labels + ["Z"]),
+        st.sampled_from(labels),
+        st.one_of(value, st.just("x")),
+    )
+    for _ in range(data.draw(st.integers(0, 4))):
+        position = data.draw(st.integers(0, len(entries)))
+        if data.draw(st.booleans()) and entries:
+            del entries[min(position, len(entries) - 1)]
+        else:
+            entries.insert(position, data.draw(extra))
+    tolerance = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    assert _build_outcome(
+        build_finite_table, labels, entries, tolerance
+    ) == _build_outcome(naive.build_finite_table, labels, entries, tolerance)

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgeom import (
+    DuplicateLabel,
+    EmptySpace,
     GridSpec,
+    InvalidLabel,
     NonzeroDiagonal,
+    SigmaSpace,
     TableParseError,
     build_grid_space,
     format_space,
@@ -18,6 +27,7 @@ from tgeom import (
     validation_problems,
 )
 
+import naive_tablefile as naive
 from conftest import make_table
 
 GOOD = """\
@@ -60,7 +70,17 @@ def test_parse_asymmetric_both_directions():
         ("points: A B\nsigma: A B x\n", 2, "cannot read sigma"),
         ("points: A B\nsigma: A B 1.0\nsigma: A B 2.0\n", 3, "conflicting"),
         ("points: A B C\nsigma: A B 1.0\n", 3, "no sigma value"),
+        (  # the first missing pair in row-major i < j order
+            "points: A B C D\nsigma: A B 1\nsigma: A C 1\nsigma: B D 1\nsigma: C D 1\n",
+            6,
+            "pair (A, D)",
+        ),
         ("points: A B\ntolerance: -1\n", 2, "non-negative"),
+        # the earliest offending line wins, a conflict included
+        ("points: A B\nsigma: A B 1\nsigma: A B 2\nsigma: A Z 1\n", 3, "conflicting"),
+        ("points: A B\nsigma: A Z 1\nsigma: A B 1\nsigma: A B 2\n", 2, "unknown point"),
+        ("points: A B\nsigma: A B 1\nsigma: A B nan\ntolerance: 1\n", 3, "conflicting"),
+        ("points: A B C\nsigma: A B inf\nsigma: A B inf\n", 3, "conflicting"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -146,3 +166,107 @@ def test_load_tolerance_override(tmp_path):
     path = tmp_path / "g.sigma"
     save_space(build_grid_space(GridSpec(dim=1, size=3)), path)
     assert load_space(path, tolerance=1e-3).tolerance == 1e-3
+
+
+# Each mutation edits the line list of a formatted table in place.
+MUTATIONS = (
+    "drop",
+    "repeat",
+    "unknown",
+    "unreadable",
+    "arity",
+    "late_tolerance",
+    "directive",
+    "filler",
+    "no_space",
+    "infinite",
+)
+
+
+def _outcome(parse, text):
+    try:
+        parsed = parse(text)
+    except TableParseError as exc:
+        return ("error", exc.line_no, exc.reason)
+    return ("ok", parsed.labels, parsed.tolerance, parsed.matrix.tobytes())
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _mutate(data, lines, kind):
+    entries = [
+        line.split()[1:] for line in lines
+        if line.startswith("sigma: ")
+        and len(line.split()) == 4
+        and _number(line.split()[3]) is not None
+    ]
+    p, q, value = data.draw(st.sampled_from(entries)) if entries else ("P0", "P0", "0.0")
+    if kind == "drop":
+        if entries:
+            lines.remove(f"sigma: {p} {q} {value}")
+        return
+    if kind == "repeat":
+        # equal, within the 0.5 tolerance only, conflicting, NaN
+        shifted = [repr(float(value) + step) for step in (0.25, 1.0)]
+        repeat = data.draw(st.sampled_from([value, *shifted, "nan"]))
+        new = f"sigma: {p} {q} {repeat}"
+    else:
+        new = {
+            "unknown": f"sigma: {p} Z {value}",
+            "unreadable": f"sigma: {p} {q} x",
+            "arity": data.draw(st.sampled_from([f"sigma: {p} {q}", f"sigma: {p} {q} 1 2"])),
+            "late_tolerance": "tolerance: 0.5",
+            "directive": "whatever: 1",
+            "filler": data.draw(st.sampled_from(["", "   ", "# note"])),
+            "no_space": f"sigma:{p} {q} {value}",
+            "infinite": data.draw(st.sampled_from([f"sigma: {p} {q} inf", f"sigma: {q} {p} -inf"])),
+        }[kind]
+    lines.insert(data.draw(st.integers(1, len(lines))), new)  # after points:
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parser_matches_naive_reference(data):
+    n = data.draw(st.integers(1, 4))
+    symmetric = data.draw(st.booleans())
+    value = st.sampled_from([1.0, 2.5, -3.0, 1e-12])
+    m = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i, j] = data.draw(value)
+            m[j, i] = m[i, j] if symmetric else data.draw(value)
+    tolerance = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    space = SigmaSpace([f"P{i}" for i in range(n)], m, tolerance=tolerance)
+    lines = format_space(space).splitlines()
+    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=6)):
+        _mutate(data, lines, kind)
+    text = "\n".join(lines) + "\n"
+    assert _outcome(parse_table_text, text) == _outcome(naive.parse_table_text, text)
+
+
+LABEL_CHARS = st.one_of(
+    st.sampled_from(list(" \t\n\x0b\x1c\x1f\x85\xa0\u2028\u3000#:\ufeff\ud800")),
+    st.characters(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(LABEL_CHARS, max_size=3), max_size=4))
+def test_accepted_labels_round_trip_exactly(labels):
+    n = len(labels)
+    matrix = np.arange(n * n, dtype=float).reshape(n, n) * (1 - np.eye(n))
+    try:
+        space = SigmaSpace(labels, matrix)
+    except (EmptySpace, DuplicateLabel, InvalidLabel):
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "labels.sigma"
+        save_space(space, path)
+        again = load_space(path)
+    assert again.points == space.points
+    assert np.array_equal(again.matrix, space.matrix)
