@@ -3,7 +3,8 @@
 Everything here recomputes results with plain nested loops, sharing
 nothing with the main modules beyond reading the σ table, so a bug in
 the fast paths cannot hide in a cross-check. Single-threaded and bounded
-to tiny instances on purpose.
+to tiny instances on purpose. A comparison holds only when the gap is
+at most ε, so a NaN gap (inf - inf after overflow) is a disagreement.
 """
 
 from __future__ import annotations
@@ -42,11 +43,11 @@ def brute_force_equivalent(space: SigmaSpace, v: Vector, w: Vector) -> bool:
         for q1 in range(n):
             lhs = ((m[i0][q1] + m[i1][q0]) - m[i0][q0]) - m[i1][q1]
             rhs = ((m[k0][q1] + m[k1][q0]) - m[k0][q0]) - m[k1][q1]
-            if abs(lhs - rhs) > eps:
+            if not (abs(lhs - rhs) <= eps):
                 return False
             lhs = ((m[q0][i1] + m[q1][i0]) - m[q0][i0]) - m[q1][i1]
             rhs = ((m[q0][k1] + m[q1][k0]) - m[q0][k0]) - m[q1][k1]
-            if abs(lhs - rhs) > eps:
+            if not (abs(lhs - rhs) <= eps):
                 return False
     return True
 
@@ -100,11 +101,11 @@ def brute_force_solve(
                 row_second = rhs_second[q0]
                 for q1 in range(n):
                     lhs = ((m[s0][q1] + m[s1][q0]) - m[s0][q0]) - m[s1][q1]
-                    if abs(lhs - row_first[q1]) > eps:
+                    if not (abs(lhs - row_first[q1]) <= eps):
                         ok = False
                         break
                     lhs = ((m[q0][s1] + m[q1][s0]) - m[q0][s0]) - m[q1][s1]
-                    if abs(lhs - row_second[q1]) > eps:
+                    if not (abs(lhs - row_second[q1]) <= eps):
                         ok = False
                         break
                 if not ok:

@@ -136,7 +136,7 @@ class SigmaSpace:
         if (diag > tolerance).any():
             k = int(np.argmax(diag > tolerance))
             raise NonzeroDiagonal(
-                f"value for ({labels[k]}, {labels[k]}) is {m[k, k]!r}, "
+                f"value for ({labels[k]}, {labels[k]}) is {float(m[k, k])!r}, "
                 f"beyond tolerance {tolerance!r}"
             )
         m.setflags(write=False)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +48,142 @@ class ParsedTable:
         return DEFAULT_TOLERANCE if self.tolerance is None else self.tolerance
 
 
+_CHUNK = 1 << 18  # characters per bulk chunk; every chunk ends at a "\n"
+
+# Line breaks that str.splitlines honours besides "\n". A body holding
+# one is left to the per-line loop, whose line numbers count them.
+_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@dataclass
+class _Header:
+    """What the lines other than sigma: lines set: the points and ε."""
+
+    labels: list[str] | None = None
+    index: dict[str, int] = field(default_factory=dict)
+    tolerance: float | None = None
+
+    @property
+    def eps(self) -> float:
+        return DEFAULT_TOLERANCE if self.tolerance is None else self.tolerance
+
+    def read(self, line: str, after_sigma: bool) -> str | None:
+        """Take one stripped line that is not a sigma: line.
+
+        Returns why the line is wrong, or None when it is accepted.
+        """
+        if not line or line.startswith("#"):
+            return None
+        if line.startswith("points:"):
+            if self.labels is not None:
+                return "duplicate points: line"
+            self.labels = line[len("points:") :].split()
+            if not self.labels:
+                return "points: line names no points"
+            for label in self.labels:
+                if label in self.index:
+                    return f"duplicate point label '{label}'"
+                self.index[label] = len(self.index)
+            return None
+        if self.labels is None:
+            return "first directive must be a points: line"
+        if line.startswith("tolerance:"):
+            if self.tolerance is not None:
+                return "duplicate tolerance: line"
+            if after_sigma:
+                return "tolerance: must come before sigma: lines"
+            body = line[len("tolerance:") :].strip()
+            try:
+                tolerance = float(body)
+            except ValueError:
+                return f"cannot read tolerance value {body!r}"
+            if not (math.isfinite(tolerance) and tolerance >= 0.0):
+                return "tolerance must be a non-negative finite real"
+            self.tolerance = tolerance
+            return None
+        return f"unknown directive in line {line!r}"
+
+
 def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
     """Parse table-file text, raising TableParseError with the line number.
 
     When a file has several problems, the one on the earliest line is
     reported; a pair missing in both directions is reported just past
-    the last line.
+    the last line. A canonical file is read in one bulk pass; any other
+    text, and every text with an error, is read line by line, with the
+    same results either way.
     """
-    labels: list[str] | None = None
-    index: dict[str, int] = {}
-    tolerance: float | None = None
-    eps = DEFAULT_TOLERANCE
+    parsed = _parse_bulk(text, path)
+    return parsed if parsed is not None else _parse_lines(text, path)
+
+
+def _parse_bulk(text: str, path: str) -> ParsedTable | None:
+    """Parse a canonical file in chunks, or return None.
+
+    Canonical means header lines (points:, tolerance:, comments,
+    blanks) followed only by lines ``sigma: P Q value`` that each start
+    in column 0 and end with "\n". None means the text was not proved
+    canonical or holds an error; the caller then parses it line by line,
+    so errors have one source.
+    """
+    # The header ends where the first line starts with "sigma:". Holding
+    # no "sigma:" at all, it names no point "sigma:", and it gives
+    # _Header.read no sigma: line to misjudge.
+    start = text.find("\nsigma:") + 1 or len(text)
+    header = text[:start]
+    if "sigma:" in header:
+        return None
+    state = _Header()
+    for raw in header.splitlines():
+        if state.read(raw.strip(), after_sigma=False) is not None:
+            return None
+    if state.labels is None:
+        return None
+
+    if start < len(text) and not text.endswith("\n"):
+        # The counts below prove line alignment only for "\n"-ended lines.
+        return None
+    total = text.count("\n", start)
+    rows = np.empty(total, dtype=np.intp)
+    cols = np.empty(total, dtype=np.intp)
+    values = np.empty(total)
+    lookup = state.index.__getitem__
+    filled = 0
+    while start < len(text):
+        cut = text.find("\n", start + _CHUNK - 1)
+        end = len(text) if cut < 0 else cut + 1
+        chunk = text[start:end]
+        start = end
+        if any(brk in chunk for brk in _OTHER_BREAKS):
+            return None
+        # Each line starts with "sigma:" and no other "sigma:" occurs, so
+        # the m "sigma:" tokens head the m lines; standing at positions
+        # 0, 4, 8, ... of 4m tokens, they give each line four fields.
+        m = chunk.count("\n")
+        if not ("\n" + chunk).count("\nsigma:") == chunk.count("sigma:") == m:
+            return None
+        tokens = chunk.split()
+        if len(tokens) != 4 * m or tokens[0::4].count("sigma:") != m:
+            return None
+        try:
+            rows[filled : filled + m] = np.fromiter(map(lookup, tokens[1::4]), np.intp, m)
+            cols[filled : filled + m] = np.fromiter(map(lookup, tokens[2::4]), np.intp, m)
+            values[filled : filled + m] = np.fromiter(map(float, tokens[3::4]), float, m)
+        except (KeyError, ValueError):
+            return None
+        filled += m
+
+    found = assemble_matrix(len(state.labels), rows, cols, values, state.eps)
+    if not isinstance(found, np.ndarray):
+        return None
+    return ParsedTable(
+        path=path, labels=tuple(state.labels), tolerance=state.tolerance, matrix=found
+    )
+
+
+def _parse_lines(text: str, path: str) -> ParsedTable:
+    """Parse line by line; the only source of TableParseError."""
+    state = _Header()
     rows: list[int] = []
     cols: list[int] = []
     values: list[float] = []
@@ -76,14 +201,14 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
         return TableParseError(
             path,
             next(itertools.islice(sigma_lines, k, None)),
-            f"pair ({labels[rows[k]]}, {labels[cols[k]]}) already has value "
-            f"{found.first!r}, conflicting with {values[k]!r}",
+            f"pair ({state.labels[rows[k]]}, {state.labels[cols[k]]}) already has "
+            f"value {found.first!r}, conflicting with {values[k]!r}",
         )
 
     def fail(reason: str) -> TableParseError:
         # Repeats are checked only once the pass ends, so a conflicting
         # repeat on an earlier line takes precedence here.
-        found = assemble_matrix(len(index), rows, cols, values, eps)
+        found = assemble_matrix(len(state.index), rows, cols, values, state.eps)
         if isinstance(found, Conflict):
             return conflict(found)
         return TableParseError(path, line_no, reason)
@@ -91,16 +216,16 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("sigma:"):
-            if labels is None:
+            if state.labels is None:
                 raise fail("first directive must be a points: line")
             parts = line[6:].split()
             if len(parts) != 3:
                 raise fail("sigma: line needs exactly '<P> <Q> <value>'")
             p, q, raw_value = parts
-            i = index.get(p)
+            i = state.index.get(p)
             if i is None:
                 raise fail(f"sigma: references unknown point '{p}'")
-            j = index.get(q)
+            j = state.index.get(q)
             if j is None:
                 raise fail(f"sigma: references unknown point '{q}'")
             try:
@@ -110,41 +235,15 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
             rows.append(i)
             cols.append(j)
             continue
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("points:"):
-            if labels is not None:
-                raise fail("duplicate points: line")
-            labels = line[len("points:") :].split()
-            if not labels:
-                raise fail("points: line names no points")
-            for label in labels:
-                if label in index:
-                    raise fail(f"duplicate point label '{label}'")
-                index[label] = len(index)
-            continue
-        if labels is None:
-            raise fail("first directive must be a points: line")
-        if line.startswith("tolerance:"):
-            if tolerance is not None:
-                raise fail("duplicate tolerance: line")
-            if rows:
-                raise fail("tolerance: must come before sigma: lines")
-            body = line[len("tolerance:") :].strip()
-            try:
-                tolerance = float(body)
-            except ValueError:
-                raise fail(f"cannot read tolerance value {body!r}") from None
-            if not (math.isfinite(tolerance) and tolerance >= 0.0):
-                raise fail("tolerance must be a non-negative finite real")
-            eps = tolerance
-            continue
-        raise fail(f"unknown directive in line {line!r}")
+        reason = state.read(line, after_sigma=bool(rows))
+        if reason is not None:
+            raise fail(reason)
 
     line_no += 1  # report end-of-file problems just past the last line
+    labels = state.labels
     if labels is None:
         raise fail("file contains no points: line")
-    found = assemble_matrix(len(labels), rows, cols, values, eps)
+    found = assemble_matrix(len(labels), rows, cols, values, state.eps)
     if isinstance(found, Conflict):
         raise conflict(found)
     if isinstance(found, Missing):
@@ -154,7 +253,7 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
             f"no sigma value for pair ({labels[found.i]}, {labels[found.j]})",
         )
     return ParsedTable(
-        path=path, labels=tuple(labels), tolerance=tolerance, matrix=found
+        path=path, labels=tuple(labels), tolerance=state.tolerance, matrix=found
     )
 
 
@@ -170,7 +269,7 @@ def validation_problems(parsed: ParsedTable, tolerance: float | None = None) -> 
     for i, label in enumerate(parsed.labels):
         if not (abs(m[i, i]) <= eps):
             problems.append(
-                f"diagonal value for ({label}, {label}) is {m[i, i]!r}, "
+                f"diagonal value for ({label}, {label}) is {float(m[i, i])!r}, "
                 f"beyond tolerance {eps!r}"
             )
     for i, j in np.argwhere(~np.isfinite(m)):

@@ -45,7 +45,9 @@ def test_check_bad_diagonal(tmp_path, capsys):
     path = tmp_path / "bad.sigma"
     path.write_text("points: A B\nsigma: A B 1.0\nsigma: A A 0.5\n", encoding="utf-8")
     assert main(["check", str(path)]) == 2
-    assert "(A, A)" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "(A, A)" in out
+    assert "  diagonal value for (A, A) is 0.5, beyond tolerance 1e-09\n" in out
 
 
 def test_check_parse_error_reports_line(tmp_path, capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -202,6 +203,33 @@ def test_overflowing_table_keeps_null_class_and_stays_quiet():
     solve_combination(space, c, Vector("A", "B"), Vector("B", "C"))
     (row,) = survey_linearity(space, [c]).rows
     assert row.solvable == len(null) ** 2  # only null pairs have finite targets
+
+    # Where two vectors' four-term sums meet as inf - inf, the oracle
+    # counts the NaN as disagreement, as every fast path does. Null
+    # vectors differ on purpose: their four-term sums overflow, but
+    # their fingerprint rows are exactly zero.
+    m = space.matrix.tolist()
+
+    probes = list(itertools.product(range(len(m)), repeat=2))
+
+    def four_term_sums(v):
+        i0, i1 = space.index(v.origin), space.index(v.end)
+        first = [((m[i0][q1] + m[i1][q0]) - m[i0][q0]) - m[i1][q1] for q0, q1 in probes]
+        second = [((m[q0][i1] + m[q1][i0]) - m[q0][i0]) - m[q1][i1] for q0, q1 in probes]
+        return first + second
+
+    agreeing = 0
+    for v, w in itertools.product(all_vectors(space), repeat=2):
+        gaps = map(float.__sub__, four_term_sums(v), four_term_sums(w))
+        if not any(math.isnan(gap) for gap in gaps):
+            continue
+        fast = equivalent(space, v, w).equivalent
+        if v in null and w in null:
+            assert fast and not brute_force_equivalent(space, v, w)
+        else:
+            assert brute_force_equivalent(space, v, w) == fast
+            agreeing += 1
+    assert agreeing == 36
 
 
 def test_range_rule_and_four_term_differ_only_by_ulps():

@@ -288,6 +288,21 @@ def test_survey_guaranteed_matches_per_pair_classification(grid22_deleted):
         assert row.guaranteed == manual
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_survey_guaranteed_count_closed_form(n):
+    space = build_grid_space(GridSpec(dim=1, size=n))
+    coeffs = [Coefficients(a, b) for a, b in ((1, 1), (-1, -1), (1, -1), (-1, 1))]
+    report = survey_linearity(space, coeffs)
+    vectors = [Vector(p, q) for p in space.points for q in space.points]
+    for c, row in zip(coeffs, report.rows):
+        manual = sum(
+            1
+            for v, w in itertools.product(vectors, repeat=2)
+            if guaranteed_case(space, c, v, w) is not None
+        )
+        assert row.guaranteed == manual == 2 * n**3 - n**2
+
+
 def _assert_survey_matches_solver(space):
     c = Coefficients(1.0, 1.0)
     row = survey_linearity(space, [c]).rows[0]

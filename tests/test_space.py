@@ -51,8 +51,9 @@ def test_three_point_symmetric_table(tri_table):
 
 
 def test_supplied_diagonal_beyond_tolerance_rejected():
-    with pytest.raises(NonzeroDiagonal, match="A"):
+    with pytest.raises(NonzeroDiagonal, match="A") as err:
         build_finite_table(["A", "B"], [("A", "B", 1.0), ("A", "A", 0.5)])
+    assert str(err.value) == "value for (A, A) is 0.5, beyond tolerance 1e-09"
 
 
 def test_tiny_diagonal_within_tolerance_accepted():

@@ -28,6 +28,7 @@ from tgeom import (
 )
 
 import naive_tablefile as naive
+from tgeom import tablefile
 from conftest import make_table
 
 GOOD = """\
@@ -81,6 +82,15 @@ def test_parse_asymmetric_both_directions():
         ("points: A B\nsigma: A Z 1\nsigma: A B 1\nsigma: A B 2\n", 2, "unknown point"),
         ("points: A B\nsigma: A B 1\nsigma: A B nan\ntolerance: 1\n", 3, "conflicting"),
         ("points: A B C\nsigma: A B inf\nsigma: A B inf\n", 3, "conflicting"),
+        # lines the bulk pass must not misread as four-field sigma: lines
+        ("points: A B\nsigma: A B 1 2\n", 2, "exactly"),
+        ("points: A B\nsigma:A B A 1\n", 2, "exactly"),
+        ("points: A B\nsigma:\nA B 1\nsigma: B A 1", 2, "exactly"),  # no final newline
+        (
+            "points: A B sigma:\nsigma: A B 1 sigma:\nsigma: A 2\nsigma: B sigma: 3\n",
+            2,
+            "exactly",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
@@ -168,7 +178,11 @@ def test_load_tolerance_override(tmp_path):
     assert load_space(path, tolerance=1e-3).tolerance == 1e-3
 
 
-# Each mutation edits the line list of a formatted table in place.
+# Mutations that move text across line boundaries, see _regroup.
+REGROUPS = ("sigma_label", "split", "join", "shift", "break", "indent", "separator")
+
+# Each mutation edits the line list of a formatted table in place, except
+# "no_newline", which drops the final line break when the lines are joined.
 MUTATIONS = (
     "drop",
     "repeat",
@@ -180,6 +194,8 @@ MUTATIONS = (
     "filler",
     "no_space",
     "infinite",
+    "no_newline",
+    *REGROUPS,
 )
 
 
@@ -198,7 +214,47 @@ def _number(text):
         return None
 
 
+def _regroup(data, lines, kind):
+    """Move text across line boundaries; line 0 stays the points: line."""
+    i = data.draw(st.integers(1, len(lines) - 1))
+    if kind == "sigma_label":  # a point named like the directive
+        label = data.draw(st.sampled_from(lines[0].split(" ")[1:]))
+        for k, line in enumerate(lines):
+            lines[k] = " ".join("sigma:" if tok == label else tok for tok in line.split(" "))
+    elif kind == "split":
+        fields = lines[i].split(" ")
+        if len(fields) > 1:
+            cut = data.draw(st.integers(1, len(fields) - 1))
+            lines[i : i + 1] = [" ".join(fields[:cut]), " ".join(fields[cut:])]
+    elif kind == "join":
+        if i + 1 < len(lines):
+            lines[i : i + 2] = [f"{lines[i]} {lines[i + 1]}"]
+    elif kind == "shift":  # one field across a line end: 3 fields next to 5
+        if i + 1 < len(lines):
+            head, tail = lines[i].split(" "), lines[i + 1].split(" ")
+            if data.draw(st.booleans()):
+                head, tail = head[:-1], head[-1:] + tail
+            else:
+                head, tail = head + tail[:1], tail[1:]
+            lines[i : i + 2] = [" ".join(head), " ".join(tail)]
+    elif kind == "break":  # line breaks other than "\n"; "\r" makes "\r\n"
+        brk = data.draw(st.sampled_from(["\r", "\x0b", "\x1c", "\u2028"]))
+        if data.draw(st.booleans()):
+            lines[i] += brk
+        else:
+            lines[i] = lines[i].replace(" ", brk, 1)
+    elif kind == "indent":
+        lines[i] = data.draw(st.sampled_from([" ", "\t", "\u3000"])) + lines[i]
+    elif kind == "separator":
+        lines[i] = lines[i].replace(" ", data.draw(st.sampled_from(["\t", "\u3000", "  "])))
+
+
 def _mutate(data, lines, kind):
+    if kind == "no_newline":
+        return
+    if kind in REGROUPS:
+        _regroup(data, lines, kind)
+        return
     entries = [
         line.split()[1:] for line in lines
         if line.startswith("sigma: ")
@@ -208,7 +264,10 @@ def _mutate(data, lines, kind):
     p, q, value = data.draw(st.sampled_from(entries)) if entries else ("P0", "P0", "0.0")
     if kind == "drop":
         if entries:
-            lines.remove(f"sigma: {p} {q} {value}")
+            lines.remove(next(
+                line for line in lines
+                if line.startswith("sigma: ") and line.split()[1:] == [p, q, value]
+            ))
         return
     if kind == "repeat":
         # equal, within the 0.5 tolerance only, conflicting, NaN
@@ -229,10 +288,8 @@ def _mutate(data, lines, kind):
     lines.insert(data.draw(st.integers(1, len(lines))), new)  # after points:
 
 
-@settings(max_examples=500, deadline=None)
-@given(st.data())
-def test_parser_matches_naive_reference(data):
-    n = data.draw(st.integers(1, 4))
+def _mutated_text(data, n, most=6):
+    """format_space text of a random n-point table, then up to most mutations."""
     symmetric = data.draw(st.booleans())
     value = st.sampled_from([1.0, 2.5, -3.0, 1e-12])
     m = np.zeros((n, n))
@@ -243,10 +300,48 @@ def test_parser_matches_naive_reference(data):
     tolerance = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
     space = SigmaSpace([f"P{i}" for i in range(n)], m, tolerance=tolerance)
     lines = format_space(space).splitlines()
-    for kind in data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=6)):
+    kinds = data.draw(st.lists(st.sampled_from(MUTATIONS), max_size=most))
+    for kind in kinds:
         _mutate(data, lines, kind)
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + ("" if "no_newline" in kinds else "\n")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_parser_matches_naive_reference(data):
+    text = _mutated_text(data, data.draw(st.integers(1, 4)))
     assert _outcome(parse_table_text, text) == _outcome(naive.parse_table_text, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bulk_chunk_edges_match_naive_reference(data):
+    # Chunks of a few characters put a chunk edge next to every line end;
+    # at most two mutations leave most files one proof step from canonical.
+    text = _mutated_text(data, data.draw(st.integers(18, 24)), most=2)
+    expected = _outcome(naive.parse_table_text, text)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tablefile, "_CHUNK", data.draw(st.integers(1, 64)))
+        assert _outcome(parse_table_text, text) == expected
+
+
+def test_canonical_text_takes_the_bulk_path(monkeypatch):
+    rng = np.random.default_rng(6)
+    spaces = [
+        build_grid_space(GridSpec(dim=2, size=5)),
+        make_table(rng, 7, symmetric=False),
+        SigmaSpace(["A"], [[0.0]], tolerance=0.25),  # a header and no sigma: line
+    ]
+    texts = [format_space(space) for space in spaces]
+    expected = [_outcome(naive.parse_table_text, text) for text in texts]
+
+    def fallback(text, path):
+        raise AssertionError("canonical text was parsed line by line")
+
+    monkeypatch.setattr(tablefile, "_parse_lines", fallback)
+    assert [_outcome(parse_table_text, text) for text in texts] == expected
+    with pytest.raises(AssertionError, match="line by line"):
+        parse_table_text(texts[0].replace("\n", "\r\n"))
 
 
 LABEL_CHARS = st.one_of(
