@@ -42,34 +42,24 @@ from .space import (
     build_finite_table,
     build_grid_space,
     euclidean_sigma,
-    grid_label,
     is_symmetric,
     perturb_table,
 )
 from .vectors import (
-    ALL_IDENTITIES,
     IDENTITY_CHECK_LIMIT,
-    IdentityReport,
-    IdentityViolation,
     Vector,
     norm_squared,
     scalar_product,
     verify_identities,
 )
 from .equivalence import (
-    ClassPartition,
-    Counterexample,
-    EquivalenceWitness,
     equivalence_classes,
     equivalent,
 )
 from .linear import (
     SEARCH_LIMIT,
     Coefficients,
-    CombinationResult,
     GuaranteedCase,
-    SurveyReport,
-    SurveyRow,
     chain_sum,
     construct_guaranteed,
     guaranteed_case,
@@ -78,7 +68,6 @@ from .linear import (
     survey_linearity,
 )
 from .oracle import (
-    ORACLE_LIMIT,
     brute_force_equivalent,
     brute_force_solve,
     euclid_dot_oracle,

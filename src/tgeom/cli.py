@@ -21,12 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .equivalence import equivalent
-from .errors import (
-    EmptySpace,
-    SearchLimitExceeded,
-    TableParseError,
-    TgeomError,
-)
+from .errors import SearchLimitExceeded, TableParseError, TgeomError
 from .linear import (
     SEARCH_LIMIT,
     Coefficients,
@@ -344,9 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     except SearchLimitExceeded as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_LIMIT
-    except EmptySpace as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (TgeomError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

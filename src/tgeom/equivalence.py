@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .space import PointId, SigmaSpace
-from .vectors import Vector
+from .vectors import Vector, _four_term
 
 SIDE_FIRST = "first-slot"
 SIDE_SECOND = "second-slot"
@@ -97,15 +97,13 @@ def _product_grids(space: SigmaSpace, v: Vector) -> tuple[np.ndarray, np.ndarray
 
     Returns two (n, n) arrays indexed [q0, q1]: the first holds the
     scalar products with v in the first argument slot, the second with v
-    in the second slot, in the term order of scalar_product.
+    in the second slot.
     """
     m = space.matrix
     i0, i1 = space.index(v.origin), space.index(v.end)
-    first = ((m[i0][None, :] + m[i1][:, None]) - m[i0][:, None]) - m[i1][None, :]
-    second = ((m[:, i1][:, None] + m[:, i0][None, :]) - m[:, i0][:, None]) - m[
-        :, i1
-    ][None, :]
-    return first, second
+    points = range(len(space))
+    q0, q1 = np.ix_(points, points)
+    return _four_term(m, i0, i1, q0, q1), _four_term(m, q0, q1, i0, i1)
 
 
 @dataclass(frozen=True)

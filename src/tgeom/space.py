@@ -92,6 +92,30 @@ def euclidean_sigma(x: Sequence[float], y: Sequence[float]) -> float:
     return 0.5 * total
 
 
+def matrix_problems(
+    labels: Sequence[str], m: np.ndarray, tolerance: float
+) -> list[NonzeroDiagonal | NonFiniteValue]:
+    """Every reason the square matrix m is no valid table, in report order.
+
+    First each diagonal value not within the tolerance of zero (NaN
+    included), then each non-finite entry in row-major order. The
+    constructor raises the first; ``tgeom check`` prints them all.
+    """
+    problems: list[NonzeroDiagonal | NonFiniteValue] = []
+    for k in np.flatnonzero(~(np.abs(np.diagonal(m)) <= tolerance)):
+        problems.append(
+            NonzeroDiagonal(
+                f"diagonal value for ({labels[k]}, {labels[k]}) is "
+                f"{float(m[k, k])!r}, beyond tolerance {tolerance!r}"
+            )
+        )
+    for i, j in np.argwhere(~np.isfinite(m)):
+        problems.append(
+            NonFiniteValue(f"value for ({labels[i]}, {labels[j]}) is not finite")
+        )
+    return problems
+
+
 class SigmaSpace:
     """Immutable finite σ-space.
 
@@ -127,18 +151,8 @@ class SigmaSpace:
         n = len(labels)
         if m.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            i, j = np.argwhere(~np.isfinite(m))[0]
-            raise NonFiniteValue(
-                f"value for pair ({labels[i]}, {labels[j]}) is not a finite real"
-            )
-        diag = np.abs(np.diagonal(m))
-        if (diag > tolerance).any():
-            k = int(np.argmax(diag > tolerance))
-            raise NonzeroDiagonal(
-                f"value for ({labels[k]}, {labels[k]}) is {float(m[k, k])!r}, "
-                f"beyond tolerance {tolerance!r}"
-            )
+        if not (np.isfinite(m).all() and (np.abs(np.diagonal(m)) <= tolerance).all()):
+            raise matrix_problems(labels, m, tolerance)[0]
         m.setflags(write=False)
 
         self.points = labels

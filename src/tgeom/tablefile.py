@@ -31,7 +31,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TableParseError
-from .space import DEFAULT_TOLERANCE, Conflict, Missing, SigmaSpace, assemble_matrix
+from .space import (
+    DEFAULT_TOLERANCE,
+    Conflict,
+    Missing,
+    SigmaSpace,
+    assemble_matrix,
+    matrix_problems,
+)
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,14 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
     if start < len(text) and not text.endswith("\n"):
         # The counts below prove line alignment only for "\n"-ended lines.
         return None
+    # Proved once for the whole body, before any tokenising: each of its
+    # lines starts with "sigma:", no other "sigma:" occurs, and no other
+    # line break does either.
     total = text.count("\n", start)
+    if not text.count("\nsigma:", start - 1) == text.count("sigma:", start) == total:
+        return None
+    if any(text.find(brk, start) >= 0 for brk in _OTHER_BREAKS):
+        return None
     rows = np.empty(total, dtype=np.intp)
     cols = np.empty(total, dtype=np.intp)
     values = np.empty(total)
@@ -154,14 +168,10 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
         end = len(text) if cut < 0 else cut + 1
         chunk = text[start:end]
         start = end
-        if any(brk in chunk for brk in _OTHER_BREAKS):
-            return None
-        # Each line starts with "sigma:" and no other "sigma:" occurs, so
-        # the m "sigma:" tokens head the m lines; standing at positions
-        # 0, 4, 8, ... of 4m tokens, they give each line four fields.
+        # The chunk's m "sigma:" tokens head its m lines; standing at
+        # positions 0, 4, 8, ... of 4m tokens, they give each line four
+        # fields.
         m = chunk.count("\n")
-        if not ("\n" + chunk).count("\nsigma:") == chunk.count("sigma:") == m:
-            return None
         tokens = chunk.split()
         if len(tokens) != 4 * m or tokens[0::4].count("sigma:") != m:
             return None
@@ -262,21 +272,9 @@ def parse_table_file(path: str | Path) -> ParsedTable:
 
 
 def validation_problems(parsed: ParsedTable, tolerance: float | None = None) -> list[str]:
-    """Semantic problems of a parsed table: bad diagonal, non-finite values."""
+    """Semantic problems of a parsed table, as the constructor words them."""
     eps = parsed.effective_tolerance if tolerance is None else tolerance
-    problems = []
-    m = parsed.matrix
-    for i, label in enumerate(parsed.labels):
-        if not (abs(m[i, i]) <= eps):
-            problems.append(
-                f"diagonal value for ({label}, {label}) is {float(m[i, i])!r}, "
-                f"beyond tolerance {eps!r}"
-            )
-    for i, j in np.argwhere(~np.isfinite(m)):
-        problems.append(
-            f"value for ({parsed.labels[i]}, {parsed.labels[j]}) is not finite"
-        )
-    return problems
+    return [str(p) for p in matrix_problems(parsed.labels, parsed.matrix, eps)]
 
 
 def space_from_parsed(

@@ -53,10 +53,17 @@ def scalar_product(space: SigmaSpace, v: Vector, w: Vector) -> float:
     """
     v = Vector(*v)
     w = Vector(*w)
-    m = space.matrix
     i0, i1 = space.index(v.origin), space.index(v.end)
     j0, j1 = space.index(w.origin), space.index(w.end)
-    return float(((m[i0, j1] + m[i1, j0]) - m[i0, j0]) - m[i1, j1])
+    return float(_four_term(space.matrix, i0, i1, j0, j1))
+
+
+def _four_term(m: np.ndarray, p0, p1, q0, q1):
+    """The scalar product of (p0, p1) with (q0, q1) over broadcast indices.
+
+    The one place outside the oracle that fixes the term order.
+    """
+    return ((m[p0, q1] + m[p1, q0]) - m[p0, q0]) - m[p1, q1]
 
 
 def norm_squared(space: SigmaSpace, v: Vector) -> float:
@@ -92,14 +99,6 @@ class IdentityReport:
         return not self.violations
 
 
-def _product_tensor(m: np.ndarray) -> np.ndarray:
-    # s[p0, p1, q0, q1] = ((m[p0,q1] + m[p1,q0]) - m[p0,q0]) - m[p1,q1],
-    # elementwise in the same term order as scalar_product.
-    return (
-        (m[:, None, None, :] + m[None, :, :, None]) - m[:, None, :, None]
-    ) - m[None, :, None, :]
-
-
 def verify_identities(space: SigmaSpace, max_points: int = IDENTITY_CHECK_LIMIT) -> IdentityReport:
     """Exhaustively check the universal scalar-product identities.
 
@@ -123,7 +122,8 @@ def verify_identities(space: SigmaSpace, max_points: int = IDENTITY_CHECK_LIMIT)
     m = space.matrix
     eps = space.tolerance
     labels = space.points
-    s = _product_tensor(m)
+    k = np.arange(n)
+    s = _four_term(m, *np.ix_(k, k, k, k))  # s[p0,p1,q0,q1]
     r = s.transpose(2, 3, 0, 1)  # r[p0,p1,q0,q1] = s[q0,q1,p0,p1]
     symmetric = is_symmetric(space)
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from tgeom.cli import main
+from tgeom.errors import NonFiniteValue, NonzeroDiagonal
+from tgeom.tablefile import load_space
 
 
 @pytest.fixture
@@ -48,6 +50,28 @@ def test_check_bad_diagonal(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "(A, A)" in out
     assert "  diagonal value for (A, A) is 0.5, beyond tolerance 1e-09\n" in out
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("sigma: A B 1.0\nsigma: A A 0.5\n", NonzeroDiagonal),
+        ("sigma: A B 1.0\nsigma: A A nan\n", NonzeroDiagonal),
+        ("sigma: A B inf\nsigma: B B 0.5\n", NonzeroDiagonal),
+        ("sigma: A B nan\n", NonFiniteValue),
+    ],
+    ids=["bad-diagonal", "nan-diagonal", "inf-and-bad-diagonal", "nan-off-diagonal"],
+)
+def test_check_prints_what_every_command_raises(tmp_path, capsys, body, error):
+    path = tmp_path / "bad.sigma"
+    path.write_text("points: A B\n" + body, encoding="utf-8")
+    with pytest.raises(error) as err:
+        load_space(path)
+    assert main(["check", str(path)]) == 2
+    first_problem = capsys.readouterr().out.splitlines()[4]
+    assert first_problem == "  " + str(err.value)
+    assert main(["dot", str(path), "A", "B", "A", "B"]) == 1
+    assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
 def test_check_parse_error_reports_line(tmp_path, capsys):
@@ -178,6 +202,8 @@ def test_grid_all_deleted(tmp_path, capsys):
     )
     assert code == 1
     assert "deleted" in capsys.readouterr().err
+    assert main(["grid", "--dim", "1", "--size", "1", "--delete", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: every grid cell was deleted\n")
 
 
 def test_survey_csv(full_grid_file, deleted_grid_file, capsys):

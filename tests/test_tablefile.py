@@ -344,6 +344,20 @@ def test_canonical_text_takes_the_bulk_path(monkeypatch):
         parse_table_text(texts[0].replace("\n", "\r\n"))
 
 
+def test_non_canonical_body_is_rejected_before_tokenising(monkeypatch):
+    text = format_space(build_grid_space(GridSpec(dim=2, size=5)))
+    texts = [text + "# end\n", text + "\n", text + "\r\n"]
+    expected = [_outcome(naive.parse_table_text, text) for text in texts]
+
+    def fromiter(*args, **kwargs):
+        raise AssertionError("a non-canonical body was tokenised")
+
+    # Small chunks leave the first chunks canonical and the tail in a later one.
+    monkeypatch.setattr(tablefile, "_CHUNK", 64)
+    monkeypatch.setattr(tablefile.np, "fromiter", fromiter)
+    assert [_outcome(parse_table_text, text) for text in texts] == expected
+
+
 LABEL_CHARS = st.one_of(
     st.sampled_from(list(" \t\n\x0b\x1c\x1f\x85\xa0\u2028\u3000#:\ufeff\ud800")),
     st.characters(),
