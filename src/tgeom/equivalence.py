@@ -32,9 +32,14 @@ def _within(x, eps: float):
 
 
 def _rows_agree(delta: np.ndarray, eps: float) -> np.ndarray:
-    """Range rule on row differences: each half of the last axis spans <= eps."""
-    n = delta.shape[-1] // 2
-    first, second = np.ptp(delta[..., :n], axis=-1), np.ptp(delta[..., n:], axis=-1)
+    """Range rule on row differences: each half of axis 0 spans <= eps.
+
+    delta is one difference row of 2n floats, or a (2n, k) block holding
+    k of them as columns: reductions down columns are what numpy is fast
+    at, and a row is only 2n floats long.
+    """
+    n = delta.shape[0] // 2
+    first, second = np.ptp(delta[:n], axis=0), np.ptp(delta[n:], axis=0)
     return _within(first, eps) & _within(second, eps)
 
 
@@ -53,6 +58,21 @@ def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
     return np.concatenate((d - d[:, :1], e - e[:, :1]), axis=1)
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a finite 2-D array, each row's group, and group sizes.
+
+    The partition of np.unique(rows, axis=0) from one 1-D sort over a byte
+    key per row, instead of a sort field by field. Adding 0.0 folds -0.0
+    into +0.0, after which equal finite floats have equal bytes; only the
+    order of the distinct rows differs.
+    """
+    rows = np.ascontiguousarray(rows + 0.0)
+    width = rows.shape[1]
+    keys = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
+    distinct, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return distinct.view(rows.dtype).reshape(-1, width), inverse, counts
+
+
 def _key_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order sorting the rows on their most distinct column, and its sorted keys."""
     distinct = np.count_nonzero(np.diff(np.sort(rows, axis=0), axis=0), axis=0)
@@ -62,21 +82,23 @@ def _key_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _window_matches(candidates, keys, queries, targets, eps: float):
-    """Pairs (t, c) where the row targets(t) agrees with candidates[c].
+    """Pairs (t, c) where the row targets(t) agrees with column c of candidates.
 
-    candidates are sorted on keys; queries holds the same column of the
-    targets. Only a fixed-radius window of keys around each query is
-    checked (Bentley, Stanat & Williams, IPL 1977): agreeing rows are
-    zero at column 0, so each column of their difference is at most eps.
-    A few ulps of slack let rounding add candidates, never drop one; fmax
-    drops the NaN slack of infinite values. Chunks of about _CHUNK floats
-    keep any (targets x candidates x 2n) tensor from being built.
+    candidates holds the rows as the columns of a C-contiguous (2n, u)
+    array, sorted on keys; targets(t) returns a (2n, len(t)) block and
+    queries holds the key column of the targets. Only a fixed-radius
+    window of keys around each query is checked (Bentley, Stanat &
+    Williams, IPL 1977): agreeing rows are zero at column 0, so each
+    column of their difference is at most eps. A few ulps of slack let
+    rounding add candidates, never drop one; fmax drops the NaN slack of
+    infinite values. Chunks of about _CHUNK floats keep any (targets x
+    candidates x 2n) tensor from being built.
     """
     radius = np.fmax(eps + 4 * np.spacing(np.abs(queries) + eps), eps)
     lo = np.searchsorted(keys, queries - radius, "left")
     counts = np.searchsorted(keys, queries + radius, "right") - lo
     base = np.concatenate(([0], np.cumsum(counts)))
-    step = max(1, _CHUNK // candidates.shape[1])
+    step = max(1, _CHUNK // candidates.shape[0])
     found_t, found_c = [], []
     t0 = 0
     while t0 < len(counts):
@@ -85,7 +107,7 @@ def _window_matches(candidates, keys, queries, targets, eps: float):
         c = np.arange(base[t0], base[t1]) - np.repeat(
             base[t0:t1] - lo[t0:t1], counts[t0:t1]
         )
-        ok = _rows_agree(targets(t) - candidates[c], eps)
+        ok = _rows_agree(targets(t) - candidates.take(c, axis=1), eps)
         found_t.append(t[ok])
         found_c.append(c[ok])
         t0 = t1
@@ -239,14 +261,14 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _probe_rows(space)
         finite = np.isfinite(rows).all(axis=1)
-        buckets, inverse = np.unique(rows[finite], axis=0, return_inverse=True)
+        buckets, inverse, _ = _unique_rows(rows[finite])
         order, keys = _key_order(buckets)
-        ordered = buckets[order]
-        t, c = _window_matches(ordered, keys, keys, lambda t: ordered[t], eps)
+        ordered = np.ascontiguousarray(buckets[order].T)
+        t, c = _window_matches(ordered, keys, keys, lambda t: ordered.take(t, axis=1), eps)
     a, b = order[t[t < c]], order[c[t < c]]  # each pair once
 
     bucket_of = np.cumsum(~finite) - 1 + len(buckets)
-    bucket_of[finite] = inverse.ravel()
+    bucket_of[finite] = inverse
     uf = _UnionFind(int(bucket_of.max()) + 1)
     for x, y in zip(a.tolist(), b.tolist()):
         uf.union(x, y)

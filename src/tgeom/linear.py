@@ -18,7 +18,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import ChainMismatch, NotGuaranteed, SearchLimitExceeded
-from .equivalence import _key_order, _probe_rows, _rows_agree, _window_matches, _within
+from .equivalence import (
+    _key_order,
+    _probe_rows,
+    _rows_agree,
+    _unique_rows,
+    _window_matches,
+    _within,
+)
 from .space import SigmaSpace
 from .vectors import Vector
 
@@ -212,7 +219,7 @@ def solve_combination(
         first -= target[:n]
         keep = np.flatnonzero(_within(np.ptp(first, axis=1), eps))
         s0, s1 = np.divmod(keep, n)
-        keep = keep[_rows_agree(_probe_rows(space, s0, s1) - target, eps)]
+        keep = keep[_rows_agree((_probe_rows(space, s0, s1) - target).T, eps)]
 
     points = space.points
     solutions = sorted(Vector(points[k // n], points[k % n]) for k in keep.tolist())
@@ -276,20 +283,26 @@ def survey_linearity(
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _probe_rows(space)
         rows = rows[np.isfinite(rows).all(axis=1)]
-        reps, sizes = np.unique(rows, axis=0, return_counts=True)
+        reps, _, sizes = _unique_rows(rows)
         order, keys = _key_order(reps)
-        reps, sizes = reps[order], sizes[order]
-    u = len(reps)
+        # Representative k is column k: window checks reduce down columns.
+        reps, sizes = np.ascontiguousarray(reps[order].T), sizes[order]
+    u = len(sizes)
     weight = np.outer(sizes, sizes).ravel()
 
     out: list[SurveyRow] = []
     for c in coeff_list:
         a, b = c.alpha, c.beta
         with np.errstate(over="ignore", invalid="ignore"):
-            # Target t combines reps[t // u] and reps[t % u].
+            # Target t combines representatives t // u and t % u.
             queries = np.add.outer(a * keys, b * keys).ravel()
+            scaled_a, scaled_b = a * reps, b * reps
             found, _ = _window_matches(
-                reps, keys, queries, lambda t: a * reps[t // u] + b * reps[t % u], eps
+                reps,
+                keys,
+                queries,
+                lambda t: scaled_a.take(t // u, axis=1) + scaled_b.take(t % u, axis=1),
+                eps,
             )
         solvable = int(weight[np.unique(found)].sum())
 

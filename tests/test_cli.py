@@ -74,6 +74,30 @@ def test_check_prints_what_every_command_raises(tmp_path, capsys, body, error):
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
+OVERFLOWING = (
+    "points: A B C\nsigma: A B 1.5e308\nsigma: A C -1.5e308\nsigma: B C 1.5e308\n"
+)
+
+
+def test_overflowing_table_reports_violations(tmp_path, capsys):
+    # Valid values whose four-term sums overflow: check and identities
+    # report violations (a chain violation whose middle point is not the
+    # first one among them), dot prints the overflowed product; no
+    # traceback, and the RuntimeWarning filter fails any leaked warning.
+    path = tmp_path / "over.sigma"
+    path.write_text(OVERFLOWING, encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "identities: 450 violation(s), 729 tuples checked\n" in out and not err
+    assert main(["identities", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert "violations: 450\n" in out and not err
+    assert "  first-slot-chain at (A, B, A, A, B): lhs=nan rhs=0.0\n" in out
+    assert "  exchange-symmetry at (A, A, B, B): lhs=inf rhs=inf\n" in out
+    assert main(["dot", str(path), "A", "B", "B", "C"]) == 0
+    assert capsys.readouterr() == ("-inf\n", "")
+
+
 def test_check_parse_error_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.sigma"
     path.write_text("points: A B\nsigma: A B 1.0\nsigma: A B 3.0\n", encoding="utf-8")

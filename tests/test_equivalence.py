@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tgeom import (
     Coefficients,
@@ -22,7 +26,13 @@ from tgeom import (
     solve_combination,
     survey_linearity,
 )
-from tgeom.equivalence import SIDE_FIRST, _probe_rows, _rows_agree, _UnionFind
+from tgeom.equivalence import (
+    SIDE_FIRST,
+    _probe_rows,
+    _rows_agree,
+    _UnionFind,
+    _unique_rows,
+)
 from tgeom.oracle import brute_force_equivalent
 
 from conftest import make_table, perturbed_grid
@@ -327,3 +337,120 @@ def test_displacement_criterion_exhaustive(grid22):
         assert equivalent(grid22, v, w).equivalent == (
             displacement(v) == displacement(w)
         )
+
+
+def _groups(inverse):
+    """Row indices grouped by representative, independent of group order."""
+    groups: dict[int, list[int]] = {}
+    for k, g in enumerate(np.ravel(inverse).tolist()):
+        groups.setdefault(g, []).append(k)
+    return sorted(groups.values())
+
+
+def _assert_same_partition_as_numpy(rows):
+    reps, inverse, counts = _unique_rows(rows)
+    _, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+    assert _groups(inverse) == _groups(ref_inverse)
+    assert counts.tolist() == np.bincount(inverse, minlength=len(reps)).tolist()
+    assert np.array_equal(reps[inverse], rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 12), st.integers(1, 3).map(lambda h: 2 * h)),
+        elements=st.sampled_from([0.0, -0.0, 1.0, -2.5, np.inf, np.nan]),
+    )
+)
+def test_unique_rows_matches_numpy_unique(rows):
+    # Few distinct values make repeated rows common; the callers drop
+    # non-finite rows first, which often leaves nothing at all.
+    finite = rows[np.isfinite(rows).all(axis=1)]
+    _assert_same_partition_as_numpy(finite)
+
+
+def test_unique_rows_of_no_rows():
+    rows = np.full((4, 6), np.inf)
+    reps, inverse, counts = _unique_rows(rows[np.isfinite(rows).all(axis=1)])
+    assert reps.shape == (0, 6) and len(inverse) == 0 and len(counts) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_negative_zero_diagonal_changes_no_result(data):
+    # σ(P, P) = -0.0 next to σ(P, Q) = 0 puts -0.0 into fingerprint rows
+    # that np.unique(axis=0) groups with +0.0; the byte key must too.
+    n = data.draw(st.integers(2, 4))
+    labels = [f"P{i}" for i in range(n)]
+    values = st.sampled_from([0.0, 1.0, 2.0, 4.0])
+    entries = [
+        (labels[i], labels[j], data.draw(values))
+        for i in range(n)
+        for j in range(i + 1, n)
+    ]
+    signed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    diagonal = [(p, p, -0.0 if neg else 0.0) for p, neg in zip(labels, signed)]
+    space = build_finite_table(labels, entries + diagonal)
+    plain = build_finite_table(labels, entries)
+    _assert_same_partition_as_numpy(_probe_rows(space))
+    assert equivalence_classes(space) == equivalence_classes(plain)
+    coeffs = [Coefficients(1.0, 1.0), Coefficients(2.0, -1.0)]
+    assert survey_linearity(space, coeffs) == survey_linearity(plain, coeffs)
+
+
+def test_negative_zero_reaches_the_fingerprint_rows():
+    space = build_finite_table(
+        ["A", "B", "C"],
+        [("B", "B", -0.0), ("A", "B", 0.0), ("A", "C", 4.0), ("B", "C", 4.0)],
+    )
+    rows = _probe_rows(space)
+    assert ((rows == 0) & np.signbit(rows)).any()
+    _assert_same_partition_as_numpy(rows)
+
+
+def _class_digest(partition):
+    return hashlib.sha256(repr(partition.classes).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "make, classes, method, coherent, digest, counts",
+    [
+        (
+            lambda: perturbed_grid(
+                np.random.default_rng(93), 4, 0.25, deleted={(1, 2)}
+            ),
+            109,
+            "union-find",
+            False,
+            "42bbe5bbe28ba1fc",
+            [(21803, 6525), (4301, 0)],
+        ),
+        (
+            lambda: make_table(np.random.default_rng(91), 9, symmetric=False),
+            73,
+            "fingerprint-buckets",
+            True,
+            "b7cd4e0074f8a39c",
+            [(2457, 1377), (801, 0)],
+        ),
+    ],
+    ids=["perturbed-grid", "random-asymmetric"],
+)
+def test_partition_and_survey_pinned(make, classes, method, coherent, digest, counts):
+    # Values recorded from the np.unique(axis=0), row-major implementation;
+    # the representatives' order may change, these results may not.
+    space = make()
+    partition = equivalence_classes(space)
+    assert (len(partition), partition.method, partition.coherent) == (
+        classes,
+        method,
+        coherent,
+    )
+    assert _class_digest(partition) == digest
+    coeffs = [Coefficients(1.0, 1.0), Coefficients(2.0, -1.0)]
+    rows = survey_linearity(space, coeffs).rows
+    total = len(space) ** 4
+    assert [(r.solvable, r.guaranteed) for r in rows] == counts
+    assert all(r.total_pairs == total for r in rows)
+    assert all(r.unsolvable == total - r.solvable for r in rows)

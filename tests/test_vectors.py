@@ -21,7 +21,9 @@ from tgeom import (
 from tgeom.vectors import (
     IDENTITY_EXCHANGE,
     IDENTITY_FIRST_ARG_REVERSAL,
+    IDENTITY_FIRST_SLOT_CHAIN,
     IDENTITY_SECOND_ARG_REVERSAL,
+    IDENTITY_SECOND_SLOT_CHAIN,
 )
 
 from conftest import make_table
@@ -156,3 +158,29 @@ def test_violations_are_sorted():
     violations = verify_identities(space).violations
     keys = [(v.identity, v.points) for v in violations]
     assert keys == sorted(keys)
+
+
+def test_identity_sweep_on_overflowing_table():
+    # Four-term sums overflow. An inf - inf gap is a violation, as in the
+    # oracle; chain violations at every middle point are reported with
+    # the values of the full-shape right-hand side.
+    big = 1.5e308
+    space = build_finite_table(
+        ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+    )
+    report = verify_identities(space)
+    assert report.checked == 729 and len(report.violations) == 450
+    chains = [
+        v
+        for v in report.violations
+        if v.identity in (IDENTITY_FIRST_SLOT_CHAIN, IDENTITY_SECOND_SLOT_CHAIN)
+    ]
+    assert {v.points[1] for v in chains} == {"A", "B", "C"}
+    for v in chains:
+        p0, _, p2, q0, q1 = v.points
+        pair = (Vector(p0, p2), Vector(q0, q1))
+        if v.identity == IDENTITY_SECOND_SLOT_CHAIN:
+            pair = pair[::-1]
+        assert repr(v.rhs) == repr(scalar_product(space, *pair))
+    nan_gaps = [v for v in report.violations if v.lhs == v.rhs]
+    assert nan_gaps and all(np.isinf(v.lhs) for v in nan_gaps)
