@@ -13,6 +13,7 @@ four-term test only within a few ulps of the tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,18 +115,17 @@ def _window_matches(candidates, keys, queries, targets, eps: float):
     return np.concatenate(found_t), np.concatenate(found_c)
 
 
-def _product_grids(space: SigmaSpace, v: Vector) -> tuple[np.ndarray, np.ndarray]:
+def _product_grid(space: SigmaSpace, v: Vector, side: int, origins: range) -> np.ndarray:
     """Four-term probe responses of one vector, for counterexamples.
 
-    Returns two (n, n) arrays indexed [q0, q1]: the first holds the
-    scalar products with v in the first argument slot, the second with v
-    in the second slot.
+    Returns a (len(origins), n) array indexed [q0 - origins.start, q1]:
+    the scalar products with v in the first argument slot (side 0) or in
+    the second (side 1) at the probes (q0, q1) with q0 in origins.
     """
     m = space.matrix
     i0, i1 = space.index(v.origin), space.index(v.end)
-    points = range(len(space))
-    q0, q1 = np.ix_(points, points)
-    return _four_term(m, i0, i1, q0, q1), _four_term(m, q0, q1, i0, i1)
+    q0, q1 = np.ix_(origins, range(len(space)))
+    return _four_term(m, i0, i1, q0, q1) if side == 0 else _four_term(m, q0, q1, i0, i1)
 
 
 @dataclass(frozen=True)
@@ -169,24 +169,28 @@ def equivalent(space: SigmaSpace, v: Vector, w: Vector) -> EquivalenceWitness:
         delta = row_v - row_w
         if _rows_agree(delta, eps):
             return EquivalenceWitness(equivalent=True)
-        grids = list(zip(_product_grids(space, v), _product_grids(space, w)))
-        for half, (left, right) in enumerate(grids):
+        # Blocks of probe origins of about _CHUNK floats, in scan order:
+        # the first failing probe usually lies in the first block.
+        step = max(1, _CHUNK // n)
+        for half, start in itertools.product((0, 1), range(0, n, step)):
+            block = range(start, min(start + step, n))
+            left, right = (_product_grid(space, u, half, block) for u in (v, w))
             agree = _within(left - right, eps)
             if not agree.all():
-                q0, q1 = divmod(int(np.argmin(agree)), n)  # first failing probe
+                row, q1 = divmod(int(np.argmin(agree)), n)  # first failing probe
                 break
         else:  # the roundings straddle eps: report the widest four-term gap
-            half = int(bool(_within(np.ptp(delta[:n]), eps)))
-            left, right = grids[half]
-            q0, q1 = divmod(int(np.argmax(np.abs(left - right))), n)
+            half, start = int(bool(_within(np.ptp(delta[:n]), eps))), 0
+            left, right = (_product_grid(space, u, half, range(n)) for u in (v, w))
+            row, q1 = divmod(int(np.argmax(np.abs(left - right))), n)
     return EquivalenceWitness(
         equivalent=False,
         counterexample=Counterexample(
-            probe_origin=space.points[q0],
+            probe_origin=space.points[start + row],
             probe_end=space.points[q1],
             side=(SIDE_FIRST, SIDE_SECOND)[half],
-            lhs=float(left[q0, q1]),
-            rhs=float(right[q0, q1]),
+            lhs=float(left[row, q1]),
+            rhs=float(right[row, q1]),
         ),
     )
 

@@ -61,6 +61,130 @@ _CHUNK = 1 << 18  # characters per bulk chunk; every chunk ends at a "\n"
 # one is left to the per-line loop, whose line numbers count them.
 _OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
+# The bytes at or below b" " in a canonical body line, read as one
+# little-endian uint32: its three single spaces, then its newline.
+_SEPARATORS = 0x0A202020
+# Trails the bytes that words are read from, so that a word starting at
+# any of their offsets is whole.
+_PAD = bytes(8)
+# _MASKS[k] keeps the first k bytes of a little-endian word.
+_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# Odd multiplier that folds the words of fields wider than 8 bytes.
+_FOLD = np.uint64(0x100000001B3)
+
+
+def _words(data: bytes, starts: np.ndarray, lengths: np.ndarray, width: int) -> list[np.ndarray]:
+    """The fields data[starts:starts + lengths] as `width` uint64 words each.
+
+    Word j holds bytes 8j to 8j + 7 of a field, little-endian, zero past
+    the field's end. data ends in _PAD, so a word read at any offset up
+    to a field's end is whole.
+    """
+    view = np.ndarray(len(data) - 7, "<u8", buffer=data, strides=(1,))
+    words = [view[starts] & _MASKS.take(lengths, mode="clip")]
+    if width > 1:
+        ends = starts + lengths
+        for j in range(8, 8 * width, 8):
+            word = view[np.minimum(starts + j, ends)]
+            words.append(word & _MASKS.take(lengths - j, mode="clip"))
+    return words
+
+
+def _key(words: list[np.ndarray]) -> np.ndarray:
+    """One uint64 per field: its only word, or a fold of its words.
+
+    A one-word key is exact for fields without NUL bytes; a folded key
+    can collide, so callers check matches on it word by word.
+    """
+    if len(words) == 1:
+        return words[0]
+    key = np.uint64(0)
+    for word in words:
+        key = (key + word) * _FOLD
+    return key
+
+
+@dataclass(frozen=True)
+class _LabelKeys:
+    """The points' UTF-8 labels as sorted keys, for looking fields up.
+
+    Sorted position k holds point index[k], of lengths[k] bytes and
+    words[j][k]. A field whose key sorts past every label is compared
+    with the last one, which it cannot equal.
+    """
+
+    keys: np.ndarray
+    index: np.ndarray
+    lengths: np.ndarray
+    words: list[np.ndarray]
+
+    @classmethod
+    def of(cls, labels: list[str]) -> _LabelKeys:
+        encoded = [label.encode() for label in labels]  # may raise UnicodeEncodeError
+        lengths = np.array(list(map(len, encoded)))
+        starts = np.cumsum(lengths) - lengths
+        words = _words(b"".join(encoded) + _PAD, starts, lengths, -(-int(lengths.max()) // 8))
+        order = np.argsort(_key(words))
+        words = [word[order] for word in words]
+        return cls(_key(words), order, lengths[order], words)
+
+    def find(self, data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray | None:
+        """Point index of each field of data, or None unless all are labels.
+
+        searchsorted is quickest when runs of its queries rise, as the
+        columns of a table file mostly do.
+        """
+        words = _words(data, starts, lengths, len(self.words))
+        at = np.searchsorted(self.keys, _key(words))
+        if (self.lengths.take(at, mode="clip") != lengths).any():
+            return None
+        for mine, word in zip(self.words, words):
+            if (mine.take(at, mode="clip") != word).any():
+                return None
+        return self.index.take(at, mode="clip")
+
+
+def _read_values(
+    raw: np.ndarray, data: bytes, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray | None:
+    """The value fields of data as floats, or None if one is unreadable.
+
+    Python's float reads each distinct token once, from one of its
+    occurrences. Groups of a folded key must hold one token, word for
+    word: with no NUL in a field, equal words are equal bytes. float
+    reads bytes as ASCII only, so a value such as "\u0661", which it
+    reads from text, is left to the per-line loop. raw is data without
+    its _PAD, as uint8, and each field ends at a newline.
+    """
+    tokens = _words(data, starts, lengths, -(-int(lengths.max()) // 8))
+    key = _key(tokens)
+    order = key.argsort()
+    ranked = key[order]
+    head = np.empty(len(key), dtype=bool)  # the first of each run of equal keys
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    some = order[head]
+    inverse = np.empty(len(key), dtype=np.intp)
+    inverse[order] = np.cumsum(head) - 1
+    if len(tokens) > 1:
+        same = some[inverse]
+        if any((word != word[same]).any() for word in tokens):
+            return None
+    # The distinct tokens, each with its newline, gathered into one
+    # string that bytes.split cuts up at C speed.
+    begin = starts[some]
+    size = lengths[some] + 1
+    offset = np.cumsum(size) - size
+    picked = raw[np.repeat(begin - offset, size) + np.arange(offset[-1] + size[-1])]
+    texts = picked.tobytes().split()
+    if len(texts) != len(some):  # an empty value
+        return None
+    try:
+        read = np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return None
+    return read[inverse]
+
 
 @dataclass
 class _Header:
@@ -125,13 +249,14 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
 
 
 def _parse_bulk(text: str, path: str) -> ParsedTable | None:
-    """Parse a canonical file in chunks, or return None.
+    """Parse a canonical file from its UTF-8 bytes in chunks, or return None.
 
     Canonical means header lines (points:, tolerance:, comments,
-    blanks) followed only by lines ``sigma: P Q value`` that each start
-    in column 0 and end with "\n". None means the text was not proved
-    canonical or holds an error; the caller then parses it line by line,
-    so errors have one source.
+    blanks) followed only by lines ``sigma: P Q value``, each starting
+    in column 0, its four fields parted by single spaces and ended by
+    "\n". None means the text was not proved canonical or holds an
+    error; the caller then parses it line by line, so errors have one
+    source.
     """
     # The header ends where the first line starts with "sigma:". Holding
     # no "sigma:" at all, it names no point "sigma:", and it gives
@@ -150,37 +275,49 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
     if start < len(text) and not text.endswith("\n"):
         # The counts below prove line alignment only for "\n"-ended lines.
         return None
-    # Proved once for the whole body, before any tokenising: each of its
-    # lines starts with "sigma:", no other "sigma:" occurs, and no other
-    # line break does either.
+    # Proved once for the whole body, before any field is read: each of
+    # its lines starts with "sigma: " and no other line break occurs.
     total = text.count("\n", start)
-    if not text.count("\nsigma:", start - 1) == text.count("sigma:", start) == total:
+    if text.count("\nsigma: ", start - 1) != total:
         return None
     if any(text.find(brk, start) >= 0 for brk in _OTHER_BREAKS):
+        return None
+    try:
+        labels = _LabelKeys.of(state.labels)
+    except UnicodeEncodeError:
         return None
     rows = np.empty(total, dtype=np.intp)
     cols = np.empty(total, dtype=np.intp)
     values = np.empty(total)
-    lookup = state.index.__getitem__
     filled = 0
     while start < len(text):
         cut = text.find("\n", start + _CHUNK - 1)
         end = len(text) if cut < 0 else cut + 1
-        chunk = text[start:end]
-        start = end
-        # The chunk's m "sigma:" tokens head its m lines; standing at
-        # positions 0, 4, 8, ... of 4m tokens, they give each line four
-        # fields.
-        m = chunk.count("\n")
-        tokens = chunk.split()
-        if len(tokens) != 4 * m or tokens[0::4].count("sigma:") != m:
-            return None
         try:
-            rows[filled : filled + m] = np.fromiter(map(lookup, tokens[1::4]), np.intp, m)
-            cols[filled : filled + m] = np.fromiter(map(lookup, tokens[2::4]), np.intp, m)
-            values[filled : filled + m] = np.fromiter(map(float, tokens[3::4]), float, m)
-        except (KeyError, ValueError):
+            data = text[start:end].encode() + _PAD
+        except UnicodeEncodeError:  # a lone surrogate
             return None
+        start = end
+        # With "sigma: " heading every line, bytes at or below b" " in
+        # the order space, space, space, newline, and in no other, give
+        # each line three fields that hold no whitespace, NUL or tab.
+        raw = np.frombuffer(data, np.uint8, len(data) - len(_PAD))
+        low = np.flatnonzero(raw <= 32)
+        if low.size % 4 or (raw[low].view("<u4") != _SEPARATORS).any():
+            return None
+        # One row per field, one column per line: P, Q and the value.
+        low = low.reshape(-1, 4).T.copy()
+        m = low.shape[1]
+        starts = low[:3] + 1
+        lengths = low[1:] - starts
+        found = labels.find(data, starts[:2], lengths[:2])
+        if found is None:
+            return None
+        rows[filled : filled + m], cols[filled : filled + m] = found
+        read = _read_values(raw, data, starts[2], lengths[2])
+        if read is None:
+            return None
+        values[filled : filled + m] = read
         filled += m
 
     found = assemble_matrix(len(state.labels), rows, cols, values, state.eps)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import random
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -23,17 +24,21 @@ from tgeom import (
     build_grid_space,
     equivalence_classes,
     equivalent,
+    perturb_table,
     solve_combination,
     survey_linearity,
 )
+from tgeom import equivalence
 from tgeom.equivalence import (
     SIDE_FIRST,
+    SIDE_SECOND,
     _probe_rows,
     _rows_agree,
     _UnionFind,
     _unique_rows,
 )
 from tgeom.oracle import brute_force_equivalent
+from tgeom.vectors import _four_term
 
 from conftest import make_table, perturbed_grid
 
@@ -67,6 +72,80 @@ def test_witness_reports_first_failing_probe():
     assert (ce.probe_origin, ce.probe_end) == ("A", "B")
     assert ce.side == SIDE_FIRST
     assert ce.lhs == 2.0 and ce.rhs == -2.0
+
+
+def _full_grid_witness(space, v, w):
+    """Probe, side and four-term bytes of the first failing probe.
+
+    Found in all four n×n four-term grids at once; None when no single
+    probe fails (the roundings straddle ε).
+    """
+    m, n, eps = space.matrix, len(space), space.tolerance
+    q0, q1 = np.ix_(range(n), range(n))
+
+    def grids(u):
+        i0, i1 = space.index(u.origin), space.index(u.end)
+        return _four_term(m, i0, i1, q0, q1), _four_term(m, q0, q1, i0, i1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for side, left, right in zip((SIDE_FIRST, SIDE_SECOND), grids(v), grids(w)):
+            agree = np.abs(left - right) <= eps
+            if not agree.all():
+                a, b = divmod(int(np.argmin(agree)), n)
+                lhs, rhs = left[a, b].tobytes(), right[a, b].tobytes()
+                return (space.points[a], space.points[b], side, lhs, rhs)
+    return None
+
+
+def _witness_bits(space, v, w):
+    ce = equivalent(space, v, w).counterexample
+    if ce is None:
+        return None
+    lhs, rhs = np.float64(ce.lhs).tobytes(), np.float64(ce.rhs).tobytes()
+    return (ce.probe_origin, ce.probe_end, ce.side, lhs, rhs)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+def test_witness_matches_the_full_grid_scan(monkeypatch, chunk):
+    # Blocks of probe origins must report the probe, side and four-term
+    # values, bit for bit, that a scan over the full grids reports.
+    if chunk is not None:  # one origin per block, or a few
+        monkeypatch.setattr(equivalence, "_CHUNK", chunk)
+    rng = np.random.default_rng(31)
+    pick = random.Random(31)
+    grid = build_grid_space(GridSpec(dim=2, size=24))
+    # On a 6×6 grid, a row and a column of σ moved by ±0.6ε at two late
+    # points: (p0_0, p1_0) and (p2_2, p3_2) then first disagree at the
+    # probe origin p4_1 in the first slot, (p0_1, p1_1) and (p2_3, p3_3)
+    # at p4_2 in the second.
+    small = build_grid_space(GridSpec(dim=2, size=6))
+    shift = 0.6 * small.tolerance
+    moved = perturb_table(
+        small,
+        [
+            ("p0_0", "p4_1", shift),
+            ("p0_0", "p5_3", -shift),
+            ("p4_2", "p1_1", shift),
+            ("p5_5", "p1_1", -shift),
+        ],
+    )
+    late = [
+        (Vector("p0_0", "p1_0"), Vector("p2_2", "p3_2")),
+        (Vector("p0_1", "p1_1"), Vector("p2_3", "p3_3")),
+    ]
+    spaces = [grid, moved, make_table(rng, 30), make_table(rng, 30, symmetric=False)]
+    for space in spaces:
+        vectors = all_vectors(space)
+        pairs = [pick.sample(vectors, 2) for _ in range(40)]
+        for v, w in pairs + (late if space is moved else []):
+            expected = _full_grid_witness(space, v, w)
+            if expected is None and not equivalent(space, v, w):
+                continue  # the straddle case, pinned elsewhere
+            assert _witness_bits(space, v, w) == expected, (v, w)
+    assert [_witness_bits(moved, v, w)[:3] for v, w in late] == [
+        ("p4_1", "p5_3", SIDE_FIRST),
+        ("p4_2", "p5_5", SIDE_SECOND),
+    ]
 
 
 def test_unknown_point_rejected(tri_table):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -325,14 +326,22 @@ def test_bulk_chunk_edges_match_naive_reference(data):
         assert _outcome(parse_table_text, text) == expected
 
 
-def test_canonical_text_takes_the_bulk_path(monkeypatch):
+def _bulk_spaces():
+    """Canonical texts the bulk pass must read: one to three words per field."""
     rng = np.random.default_rng(6)
-    spaces = [
+    wide = ["ρουλέτα_0_é", "point_number_1", "a_label_of_more_than_16_bytes", "P"]
+    m = rng.uniform(0.0, 10.0, (4, 4)) * (1 - np.eye(4))
+    return [
         build_grid_space(GridSpec(dim=2, size=5)),
-        make_table(rng, 7, symmetric=False),
+        make_table(rng, 7, symmetric=False),  # values of about 17 bytes
         SigmaSpace(["A"], [[0.0]], tolerance=0.25),  # a header and no sigma: line
+        SigmaSpace(wide, m + m.T),  # labels of 1 to 29 bytes, multi-byte UTF-8
+        SigmaSpace(wide, m * 1e-300),  # values of about 22 bytes
     ]
-    texts = [format_space(space) for space in spaces]
+
+
+def test_canonical_text_takes_the_bulk_path(monkeypatch):
+    texts = [format_space(space) for space in _bulk_spaces()]
     expected = [_outcome(naive.parse_table_text, text) for text in texts]
 
     def fallback(text, path):
@@ -344,17 +353,69 @@ def test_canonical_text_takes_the_bulk_path(monkeypatch):
         parse_table_text(texts[0].replace("\n", "\r\n"))
 
 
+def test_folded_keys_that_collide_are_checked_byte_for_byte(monkeypatch):
+    # With a zero multiplier every key of two or more words is 0, so any
+    # two long labels, or long values, collide; the outcome must still
+    # be exact, decided by comparing the words themselves.
+    texts = [format_space(space) for space in _bulk_spaces()]
+    expected = [_outcome(naive.parse_table_text, text) for text in texts]
+    monkeypatch.setattr(tablefile, "_FOLD", np.uint64(0))
+    assert [_outcome(parse_table_text, text) for text in texts] == expected
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sigma: A \ud800 1",  # a lone surrogate, which UTF-8 cannot encode
+        "sigma: A B \ud800",
+        "sigma: A\x00 B 1",  # NUL bytes
+        "sigma: A B 1\x00",
+        "sigma: A B 1\x000",
+        "sigma: A B \xa01",  # non-ASCII whitespace around or inside a value
+        "sigma: A B 1\xa0",
+        "sigma: A B 1\xa02",
+        "sigma: A B \u30001",
+        "sigma: A B 1\u3000",
+        "sigma: A B \u0661",  # ARABIC-INDIC DIGIT ONE, which float reads as 1
+        "sigma: A B \u0661.\u0665e\u0662",
+        "sigma: A\tB 1",  # other bytes at or below b" "
+        "sigma: A B 1\x1f",
+        "sigma: A B\x1f1",
+        "sigma: A  B 1",
+        "sigma: A B  1",
+        "sigma: A B ",
+        "sigma: A B 1 ",
+        "sigma: abcdefghi B 1",  # the first word of the label abcdefgh
+        "sigma: abcdefgh B 1",
+    ],
+)
+@pytest.mark.parametrize("labels", ["A B", "A B abcdefgh", "A B \ud800 A\x00"])
+def test_byte_level_hazards_match_naive_reference(line, labels):
+    # Each line follows a complete canonical table, so the bulk pass
+    # reads fields before it meets the hazard; no UnicodeEncodeError may
+    # escape.
+    points = labels.split(" ")
+    head = f"points: {labels}\n" + "".join(
+        f"sigma: {p} {q} 2\n" for p, q in itertools.combinations(points, 2)
+    )
+    for text in (head + line + "\n", head + line + "\nsigma: A B 1\n"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tablefile, "_CHUNK", 1)
+            chunked = _outcome(parse_table_text, text)
+        assert _outcome(parse_table_text, text) == chunked == _outcome(naive.parse_table_text, text)
+
+
 def test_non_canonical_body_is_rejected_before_tokenising(monkeypatch):
     text = format_space(build_grid_space(GridSpec(dim=2, size=5)))
     texts = [text + "# end\n", text + "\n", text + "\r\n"]
     expected = [_outcome(naive.parse_table_text, text) for text in texts]
 
-    def fromiter(*args, **kwargs):
+    def words(*args, **kwargs):
         raise AssertionError("a non-canonical body was tokenised")
 
     # Small chunks leave the first chunks canonical and the tail in a later one.
     monkeypatch.setattr(tablefile, "_CHUNK", 64)
-    monkeypatch.setattr(tablefile.np, "fromiter", fromiter)
+    monkeypatch.setattr(tablefile, "_words", words)
     assert [_outcome(parse_table_text, text) for text in texts] == expected
 
 
