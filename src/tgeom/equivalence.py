@@ -49,14 +49,22 @@ def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
 
     Each half is shifted to zero at column 0, which the range rule
     ignores. By default all n² vectors, vector k from point k // n to
-    point k % n. Callers silence overflow with np.errstate.
+    point k % n, written by broadcasting into one array: the same floats
+    as the gather. Callers silence overflow with np.errstate.
     """
     m = space.matrix
-    if origins is None:
-        origins, ends = np.divmod(np.arange(len(space) ** 2), len(space))
-    d = m[origins] - m[ends]
-    e = m.T[ends] - m.T[origins]
-    return np.concatenate((d - d[:, :1], e - e[:, :1]), axis=1)
+    if origins is not None:
+        d = m[origins] - m[ends]
+        e = m.T[ends] - m.T[origins]
+        return np.concatenate((d - d[:, :1], e - e[:, :1]), axis=1)
+    n = len(space)
+    mt = np.ascontiguousarray(m.T)
+    rows = np.empty((n, n, 2 * n))
+    np.subtract(m[:, None], m[None], out=rows[:, :, :n])
+    np.subtract(mt[None], mt[:, None], out=rows[:, :, n:])
+    halves = rows.reshape(n * n, 2, n)
+    halves -= halves[:, :, :1].copy()
+    return rows.reshape(n * n, 2 * n)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -74,15 +82,33 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return distinct.view(rows.dtype).reshape(-1, width), inverse, counts
 
 
-def _key_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order sorting the rows on their most distinct column, and its sorted keys."""
-    distinct = np.count_nonzero(np.diff(np.sort(rows, axis=0), axis=0), axis=0)
-    keys = rows[:, int(np.argmax(distinct))]
+def _fingerprint_index(space: SigmaSpace):
+    """The distinct finite fingerprint rows, sorted on one key column.
+
+    Returns (reps, keys, sizes, position): reps is a C-contiguous
+    (2n, u) array whose column k is representative k, since window checks
+    reduce down columns; keys is its key column, ascending, the column of
+    most distinct values; sizes[k] counts the vectors with representative
+    k; position[v] is the representative of vector v. A row that
+    overflowed agrees with nothing: it has no representative and is given
+    a position of its own, u, u + 1, ... in vector order.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _probe_rows(space)
+        finite = np.isfinite(rows).all(axis=1)
+        distinct, inverse, sizes = _unique_rows(rows[finite])
+    columns = np.ascontiguousarray(distinct.T)
+    spread = np.count_nonzero(np.diff(np.sort(columns, axis=1), axis=1), axis=1)
+    keys = columns[int(np.argmax(spread))]
     order = np.argsort(keys, kind="stable")
-    return order, keys[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    position = np.cumsum(~finite) - 1 + len(order)
+    position[finite] = rank[inverse]
+    return columns.take(order, axis=1), keys[order], sizes[order], position
 
 
-def _window_matches(candidates, keys, queries, targets, eps: float):
+def _window_matches(candidates, keys, queries, targets, eps: float, first=0):
     """Pairs (t, c) where the row targets(t) agrees with column c of candidates.
 
     candidates holds the rows as the columns of a C-contiguous (2n, u)
@@ -92,11 +118,14 @@ def _window_matches(candidates, keys, queries, targets, eps: float):
     Williams, IPL 1977): agreeing rows are zero at column 0, so each
     column of their difference is at most eps. A few ulps of slack let
     rounding add candidates, never drop one; fmax drops the NaN slack of
-    infinite values. Chunks of about _CHUNK floats keep any (targets x
+    infinite values. Windows start no earlier than first, one position
+    for all queries or one per query: a self-join (queries is keys) that
+    passes first = t + 1 finds each pair once, since every window reaches
+    past its own query. Chunks of about _CHUNK floats keep any (targets x
     candidates x 2n) tensor from being built.
     """
     radius = np.fmax(eps + 4 * np.spacing(np.abs(queries) + eps), eps)
-    lo = np.searchsorted(keys, queries - radius, "left")
+    lo = np.maximum(np.searchsorted(keys, queries - radius, "left"), first)
     counts = np.searchsorted(keys, queries + radius, "right") - lo
     base = np.concatenate(([0], np.cumsum(counts)))
     step = max(1, _CHUNK // candidates.shape[0])
@@ -255,39 +284,52 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
 
     Vectors with identical fingerprint rows form buckets; a row that
     overflowed agrees with nothing and is a bucket of its own. Agreeing
-    pairs of buckets are found by a window lookup on one sorted column
-    and merged by an explicit union-find closure. Output order is
-    deterministic: vectors inside a class sorted lexicographically,
-    classes sorted by first member.
+    pairs of buckets are found by a window lookup on one sorted column,
+    each pair once, and merged by an explicit union-find closure. Output
+    order is deterministic: vectors inside a class sorted
+    lexicographically, classes sorted by first member.
     """
-    eps = space.tolerance
     n = len(space)
+    reps, keys, _, position = _fingerprint_index(space)
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = _probe_rows(space)
-        finite = np.isfinite(rows).all(axis=1)
-        buckets, inverse, _ = _unique_rows(rows[finite])
-        order, keys = _key_order(buckets)
-        ordered = np.ascontiguousarray(buckets[order].T)
-        t, c = _window_matches(ordered, keys, keys, lambda t: ordered.take(t, axis=1), eps)
-    a, b = order[t[t < c]], order[c[t < c]]  # each pair once
+        # Each window starts after its own query, so a pair (a, b) of
+        # representatives is checked once, with a < b.
+        a, b = _window_matches(
+            reps,
+            keys,
+            keys,
+            lambda t: reps.take(t, axis=1),
+            space.tolerance,
+            first=np.arange(1, len(keys) + 1),
+        )
 
-    bucket_of = np.cumsum(~finite) - 1 + len(buckets)
-    bucket_of[finite] = inverse
-    uf = _UnionFind(int(bucket_of.max()) + 1)
-    for x, y in zip(a.tolist(), b.tolist()):
+    # The closure visits only buckets that some agreeing pair touches.
+    roots = np.arange(int(position.max()) + 1)
+    touched, edges = np.unique(np.concatenate((a, b)), return_inverse=True)
+    uf = _UnionFind(len(touched))
+    for x, y in edges.reshape(2, -1).T.tolist():
         uf.union(x, y)
-    roots = np.array([uf.find(x) for x in range(len(uf.parent))])
+    roots[touched] = touched[[uf.find(x) for x in range(len(touched))]]
     # Coherent when each merged class is a clique of agreeing buckets.
     sizes = np.bincount(roots, minlength=len(roots))
-    edges = np.bincount(roots[a], minlength=len(roots))
-    coherent = bool((edges == sizes * (sizes - 1) // 2).all())
-    method = "union-find" if len(a) else "fingerprint-buckets"
+    pairs = np.bincount(roots[a], minlength=len(roots))
+    coherent = bool((pairs == sizes * (sizes - 1) // 2).all())
 
+    # Vectors in lexicographic order of their labels, then grouped by
+    # class, classes in order of their first member.
     points = space.points
-    members: dict[int, list[Vector]] = {}
-    for k, r in enumerate(roots[bucket_of].tolist()):
-        members.setdefault(r, []).append(Vector(points[k // n], points[k % n]))
-    sorted_classes = sorted(tuple(sorted(group)) for group in members.values())
-    return ClassPartition(
-        classes=tuple(sorted_classes), method=method, coherent=coherent
+    by_label = np.array(sorted(range(n), key=points.__getitem__))
+    lexical = (by_label[:, None] * n + by_label[None, :]).ravel()
+    _, leader, cls, members = np.unique(
+        roots[position[lexical]],
+        return_index=True,
+        return_inverse=True,
+        return_counts=True,
     )
+    grouped = lexical[np.argsort(leader[cls], kind="stable")]
+    names = np.array(points, dtype=object)
+    vectors = list(map(Vector, names[grouped // n], names[grouped % n]))
+    ends = np.cumsum(members[np.argsort(leader)]).tolist()
+    classes = tuple(tuple(vectors[s:e]) for s, e in zip([0] + ends, ends))
+    method = "union-find" if len(a) else "fingerprint-buckets"
+    return ClassPartition(classes=classes, method=method, coherent=coherent)

@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import ChainMismatch, NotGuaranteed, SearchLimitExceeded
 from .equivalence import (
-    _key_order,
+    _fingerprint_index,
     _probe_rows,
     _rows_agree,
-    _unique_rows,
     _window_matches,
     _within,
 )
@@ -280,13 +279,7 @@ def survey_linearity(
     n = len(space)
     eps = space.tolerance
     count = n * n
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _probe_rows(space)
-        rows = rows[np.isfinite(rows).all(axis=1)]
-        reps, _, sizes = _unique_rows(rows)
-        order, keys = _key_order(reps)
-        # Representative k is column k: window checks reduce down columns.
-        reps, sizes = np.ascontiguousarray(reps[order].T), sizes[order]
+    reps, keys, sizes, _ = _fingerprint_index(space)
     u = len(sizes)
     weight = np.outer(sizes, sizes).ravel()
 

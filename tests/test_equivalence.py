@@ -32,10 +32,11 @@ from tgeom import equivalence
 from tgeom.equivalence import (
     SIDE_FIRST,
     SIDE_SECOND,
+    _fingerprint_index,
     _probe_rows,
     _rows_agree,
-    _UnionFind,
     _unique_rows,
+    _window_matches,
 )
 from tgeom.oracle import brute_force_equivalent
 from tgeom.vectors import _four_term
@@ -163,6 +164,36 @@ def test_fingerprint_agreement_matches_direct_path():
             assert direct == _rows_agree(rows[v] - rows[w], space.tolerance)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_broadcast_probe_rows_match_the_gather():
+    # All n² rows at once are written by broadcasting; rows for listed
+    # vectors are gathered. Both must give the same floats, -0.0, inf and
+    # NaN included.
+    rng = np.random.default_rng(28)
+    big = 1.5e308
+    spaces = [
+        make_table(rng, 7),
+        make_table(rng, 6, symmetric=False),
+        build_finite_table(
+            ["A", "B", "C"],
+            [("B", "B", -0.0), ("A", "B", 0.0), ("A", "C", 4.0), ("B", "C", 4.0)],
+        ),
+        build_finite_table(
+            ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+        ),
+    ]
+    for space in spaces:
+        n = len(space)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _probe_rows(space)
+            gathered = _probe_rows(space, *np.divmod(np.arange(n * n), n))
+        assert rows.shape == gathered.shape == (n * n, 2 * n)
+        assert rows.tobytes() == gathered.tobytes()
+        for where in (np.isnan, np.isinf, np.signbit):
+            assert np.array_equal(where(rows), where(gathered))
+    assert np.isnan(rows).any() and np.isinf(rows).any()  # the 1.5e308 table
+
+
 def test_witness_present_iff_not_equivalent():
     rng = np.random.default_rng(22)
     space = make_table(rng, 4)
@@ -206,16 +237,22 @@ def test_full_grid_partition_counts(grid22):
 
 
 def _oracle_partition(space):
-    vectors = [Vector(p, q) for p in space.points for q in space.points]
-    uf = _UnionFind(len(vectors))
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            if brute_force_equivalent(space, vectors[i], vectors[j]):
-                uf.union(i, j)
-    classes: dict[int, list[Vector]] = {}
-    for k, v in enumerate(vectors):
-        classes.setdefault(uf.find(k), []).append(v)
-    return sorted(tuple(sorted(members)) for members in classes.values())
+    """Classes of the closure of the oracle's relation, sorted as the
+    partition sorts them.
+
+    Each class is grown breadth first: every vector still unclassified
+    that the oracle relates to a member joins it.
+    """
+    unseen = all_vectors(space)
+    classes = []
+    while unseen:
+        members = [unseen.pop(0)]
+        for v in members:  # members grows while it is walked
+            linked = [w for w in unseen if brute_force_equivalent(space, v, w)]
+            unseen = [w for w in unseen if w not in linked]
+            members.extend(linked)
+        classes.append(tuple(sorted(members)))
+    return tuple(sorted(classes))
 
 
 def test_partition_matches_pairwise_oracle(tri_table, grid22_deleted):
@@ -223,7 +260,37 @@ def test_partition_matches_pairwise_oracle(tri_table, grid22_deleted):
     spaces = [tri_table, grid22_deleted, make_table(rng, 4), make_table(rng, 3, symmetric=False)]
     for space in spaces:
         partition = equivalence_classes(space)
-        assert list(partition.classes) == _oracle_partition(space)
+        assert partition.classes == _oracle_partition(space)
+
+
+# Construction orders that differ from sorted label order: "P10" sorts
+# before "P2", capitals before lower case, and "Ä", "É", "é" after "z".
+_UNSORTED_LABELS = {
+    "numbered": [f"P{i}" for i in range(12)],
+    "mixed-case": ["b", "B", "a", "A", "c", "C", "ab", "Ab", "aB"],
+    "non-ascii": ["é", "Ä", "z", "a", "É", "Z", "ä", "e", "Ö"],
+}
+
+
+def _relabelled(space, labels):
+    return SigmaSpace(labels, space.matrix, tolerance=space.tolerance)
+
+
+@pytest.mark.parametrize("labels", _UNSORTED_LABELS.values(), ids=_UNSORTED_LABELS)
+def test_classes_follow_sorted_labels_not_construction_order(labels):
+    rng = np.random.default_rng(27)
+    n = len(labels)
+    size, deleted = (4, {(0, 3), (1, 2), (2, 0), (3, 1)}) if n == 12 else (3, set())
+    grid = build_grid_space(GridSpec(dim=2, size=size, deleted=frozenset(deleted)))
+    table = np.where(np.eye(n, dtype=bool), 0.0, rng.uniform(0.0, 10.0, (n, n)))
+    spaces = [
+        _relabelled(grid, labels),
+        SigmaSpace(labels, table),
+        _relabelled(perturbed_grid(rng, size, 0.25, deleted), labels),
+    ]
+    for space in spaces:
+        assert list(space.points) != sorted(space.points)
+        assert equivalence_classes(space).classes == _oracle_partition(space)
 
 
 def test_partition_is_a_partition():
@@ -237,6 +304,42 @@ def test_partition_is_a_partition():
         for cls in partition.classes:
             for v, w in itertools.combinations(cls, 2):
                 assert equivalent(space, v, w).equivalent
+
+
+def _self_join_pairs(reps, keys, eps, first=0):
+    def own(t):
+        return reps.take(t, axis=1)
+
+    t, c = _window_matches(reps, keys, keys, own, eps, first=first)
+    return set(zip(t.tolist(), c.tolist()))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+def test_one_sided_self_join_finds_each_pair_once(monkeypatch, chunk):
+    # A window that starts after its own query must find exactly the
+    # pairs t < c of the full self-join; and the full join is symmetric,
+    # so dropping its pairs t > c loses no agreeing pair.
+    if chunk is not None:
+        monkeypatch.setattr(equivalence, "_CHUNK", chunk)
+    rng = np.random.default_rng(29)
+    # Small integers at tolerance 1: long runs of tied keys, many matches.
+    tied = rng.integers(0, 4, size=(8, 60)).astype(float)
+    tied[[0, 4]] = 0.0  # each half zero at column 0, as fingerprint rows are
+    tied = tied[:, np.argsort(tied[2], kind="stable")]
+    inputs = [(np.ascontiguousarray(tied), tied[2].copy(), 1.0)]
+    for scale in (0.125, 0.25, 0.5, 1.0):
+        space = perturbed_grid(rng, 3, scale)
+        reps, keys, _, _ = _fingerprint_index(space)
+        inputs.append((reps, keys, space.tolerance))
+    matched = 0
+    for reps, keys, eps in inputs:
+        full = _self_join_pairs(reps, keys, eps)
+        below = {(t, c) for t, c in full if t < c}
+        assert {(c, t) for t, c in full if t > c} == below
+        one_sided = _self_join_pairs(reps, keys, eps, np.arange(1, len(keys) + 1))
+        assert one_sided == below
+        matched += len(below)
+    assert matched > 0
 
 
 def _cell_shift(v):
@@ -263,7 +366,7 @@ def test_epsilon_boundary_stress_matches_oracle(size):
                 assert equivalent(space, v, w).equivalent == expected, (scale, v, w)
                 outcomes.add(expected)
         partition = equivalence_classes(space)
-        assert list(partition.classes) == _oracle_partition(space)
+        assert partition.classes == _oracle_partition(space)
         assert partition.coherent == all(
             brute_force_equivalent(space, a, b)
             for cls in partition.classes
