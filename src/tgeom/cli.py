@@ -60,7 +60,17 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load(args):
-    return load_space(args.file, tolerance=getattr(args, "tolerance", None))
+    return load_space(args.file, tolerance=args.tolerance)
+
+
+def _write_space(space, out: str | None, note: str) -> None:
+    """Write the table file of a space to out, or print it."""
+    text = format_space(space)
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        sys.stdout.write(f"wrote {out} ({note})\n")
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_check(args) -> int:
@@ -148,12 +158,7 @@ def cmd_grid(args) -> int:
         spec,
         tolerance=args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE,
     )
-    text = format_space(space)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        sys.stdout.write(f"wrote {args.out} ({len(space)} points)\n")
-    else:
-        sys.stdout.write(text)
+    _write_space(space, args.out, f"{len(space)} points")
     return EXIT_OK
 
 
@@ -211,14 +216,7 @@ def cmd_random(args) -> int:
             if args.asymmetric:
                 entries.append((labels[j], labels[i], rng.uniform(args.low, args.high)))
     space = build_finite_table(labels, entries)
-    text = format_space(space)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        sys.stdout.write(
-            f"wrote {args.out} ({len(space)} points, seed {args.seed})\n"
-        )
-    else:
-        sys.stdout.write(text)
+    _write_space(space, args.out, f"{len(space)} points, seed {args.seed}")
     return EXIT_OK
 
 

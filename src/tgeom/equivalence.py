@@ -230,12 +230,13 @@ class ClassPartition:
 
     method records how the partition was obtained: "fingerprint-buckets"
     when no two distinct fingerprint rows agree, so that groups of
-    identical rows are the classes, or "union-find" when agreement within
-    tolerance forced an explicit pairwise closure. coherent is False
-    when the closure glued together vectors that do not all agree
-    pairwise, which can only happen at tolerance boundaries where the
-    relation stops being transitive; such spaces are reported rather
-    than silently forced into a clean partition.
+    identical rows are the classes, or "union-find", the name of the
+    closure path, when agreement within tolerance forced a closure over
+    the agreeing pairs (array hooking and shortcutting, _components).
+    coherent is False when the closure glued together vectors that do
+    not all agree pairwise, which can only happen at tolerance
+    boundaries where the relation stops being transitive; such spaces
+    are reported rather than silently forced into a clean partition.
     """
 
     classes: tuple[tuple[Vector, ...], ...]
@@ -253,30 +254,20 @@ class ClassPartition:
         raise KeyError(f"vector {v} not in partition")
 
 
-class _UnionFind:
-    """Disjoint sets over range(n), union by rank with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
+def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Labels of count buckets, equal exactly within each component of
+    the graph with edges (a[k], b[k]), by hooking and shortcutting
+    (Shiloach & Vishkin, J. Algorithms 3(1), 1982). A root only ever
+    hooks under a smaller label, so no cycle forms; the loop ends once
+    both ends of every edge share a label, the least of its component.
+    """
+    roots = np.arange(count)
+    while (roots[a] != roots[b]).any():
+        ra, rb = roots[a], roots[b]
+        np.minimum.at(roots, np.maximum(ra, rb), np.minimum(ra, rb))
+        while (roots[roots] != roots).any():
+            roots = roots[roots]
+    return roots
 
 
 def equivalence_classes(space: SigmaSpace) -> ClassPartition:
@@ -285,7 +276,7 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     Vectors with identical fingerprint rows form buckets; a row that
     overflowed agrees with nothing and is a bucket of its own. Agreeing
     pairs of buckets are found by a window lookup on one sorted column,
-    each pair once, and merged by an explicit union-find closure. Output
+    each pair once, and merged by an array closure (_components). Output
     order is deterministic: vectors inside a class sorted
     lexicographically, classes sorted by first member.
     """
@@ -303,13 +294,7 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
             first=np.arange(1, len(keys) + 1),
         )
 
-    # The closure visits only buckets that some agreeing pair touches.
-    roots = np.arange(int(position.max()) + 1)
-    touched, edges = np.unique(np.concatenate((a, b)), return_inverse=True)
-    uf = _UnionFind(len(touched))
-    for x, y in edges.reshape(2, -1).T.tolist():
-        uf.union(x, y)
-    roots[touched] = touched[[uf.find(x) for x in range(len(touched))]]
+    roots = _components(int(position.max()) + 1, a, b)
     # Coherent when each merged class is a clique of agreeing buckets.
     sizes = np.bincount(roots, minlength=len(roots))
     pairs = np.bincount(roots[a], minlength=len(roots))

@@ -334,20 +334,14 @@ def _parse_lines(text: str, path: str) -> ParsedTable:
     rows: list[int] = []
     cols: list[int] = []
     values: list[float] = []
+    entry_lines: list[int] = []
     line_no = 0
 
     def conflict(found: Conflict) -> TableParseError:
-        # Every sigma: line either raised or became the next entry, so
-        # entry k stands on the (k+1)-th sigma: line.
         k = found.entry
-        sigma_lines = (
-            number
-            for number, raw in enumerate(text.splitlines(), start=1)
-            if raw.strip().startswith("sigma:")
-        )
         return TableParseError(
             path,
-            next(itertools.islice(sigma_lines, k, None)),
+            entry_lines[k],
             f"pair ({state.labels[rows[k]]}, {state.labels[cols[k]]}) already has "
             f"value {found.first!r}, conflicting with {values[k]!r}",
         )
@@ -381,6 +375,7 @@ def _parse_lines(text: str, path: str) -> ParsedTable:
                 raise fail(f"cannot read sigma value {raw_value!r}") from None
             rows.append(i)
             cols.append(j)
+            entry_lines.append(line_no)
             continue
         reason = state.read(line, after_sigma=bool(rows))
         if reason is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import math
@@ -32,6 +33,7 @@ from tgeom import equivalence
 from tgeom.equivalence import (
     SIDE_FIRST,
     SIDE_SECOND,
+    _components,
     _fingerprint_index,
     _probe_rows,
     _rows_agree,
@@ -258,6 +260,13 @@ def _oracle_partition(space):
 def test_partition_matches_pairwise_oracle(tri_table, grid22_deleted):
     rng = np.random.default_rng(23)
     spaces = [tri_table, grid22_deleted, make_table(rng, 4), make_table(rng, 3, symmetric=False)]
+    # Dense agreement: uniform(0, 10) tables at tolerances as large as
+    # their values; mostly incoherent closures, one coherent merge and
+    # one space with no agreeing pair.
+    rng = np.random.default_rng(31)
+    for _ in range(8):
+        n, tolerance = int(rng.integers(4, 7)), float(rng.integers(8, 15))
+        spaces.append(make_table(rng, n, tolerance=tolerance))
     for space in spaces:
         partition = equivalence_classes(space)
         assert partition.classes == _oracle_partition(space)
@@ -304,6 +313,50 @@ def test_partition_is_a_partition():
         for cls in partition.classes:
             for v, w in itertools.combinations(cls, 2):
                 assert equivalent(space, v, w).equivalent
+
+
+def _first_member(labels):
+    """Each node's label replaced by the least node sharing it."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+def _bfs_components(count, a, b):
+    """Component labels by breadth-first search over adjacency lists."""
+    neighbours = [[] for _ in range(count)]
+    for x, y in zip(a.tolist(), b.tolist()):
+        neighbours[x].append(y)
+        neighbours[y].append(x)
+    labels = [-1] * count
+    for start in range(count):
+        if labels[start] < 0:
+            labels[start] = start
+            queue = collections.deque([start])
+            while queue:
+                for y in neighbours[queue.popleft()]:
+                    if labels[y] < 0:
+                        labels[y] = start
+                        queue.append(y)
+    return np.array(labels)
+
+
+def test_components_match_breadth_first_search():
+    rng = np.random.default_rng(37)
+    # A path through 5000 buckets in shuffled order: one component, as
+    # long as a graph of that size allows.
+    order = rng.permutation(5000)
+    graphs = [(5000, order[:-1], order[1:]), (7, np.array([], int), np.array([], int))]
+    for count, edges in ((10, 4), (50, 30), (200, 150), (200, 400)):
+        a, b = rng.integers(0, count, size=(2, edges))
+        # Repeated pairs, reversed pairs and self-loops as well.
+        a, b = np.concatenate((a, b, a[:5], [3])), np.concatenate((b, a, b[:5], [3]))
+        graphs.append((count, a, b))
+    for count, a, b in graphs:
+        labels = _components(count, a, b)
+        assert labels.shape == (count,)
+        assert (_first_member(labels) == _first_member(_bfs_components(count, a, b))).all()
+    assert len(set(_components(*graphs[0]).tolist())) == 1
+    assert (_components(*graphs[1]) == np.arange(7)).all()
 
 
 def _self_join_pairs(reps, keys, eps, first=0):
