@@ -14,6 +14,7 @@ All output is deterministic for identical inputs and flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import sys
@@ -321,10 +322,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of build_parser, built on the first call in a process.
+
+    Building it takes far longer than one parse_args, and parsing reads it
+    without changing it, so in-process callers of main share one.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         if exc.code in (0, None):  # --help / --version
             raise

@@ -87,11 +87,13 @@ def _fingerprint_index(space: SigmaSpace):
 
     Returns (reps, keys, sizes, position): reps is a C-contiguous
     (2n, u) array whose column k is representative k, since window checks
-    reduce down columns; keys is its key column, ascending, the column of
-    most distinct values; sizes[k] counts the vectors with representative
-    k; position[v] is the representative of vector v. A row that
-    overflowed agrees with nothing: it has no representative and is given
-    a position of its own, u, u + 1, ... in vector order.
+    reduce down columns; keys holds two rows of reps: the column of most
+    distinct values, by which reps is sorted ascending, then the column
+    that splits the most neighbours within the tolerance in that order,
+    which prefilters window candidates; sizes[k] counts the vectors with
+    representative k; position[v] is the representative of vector v. A
+    row that overflowed agrees with nothing: it has no representative and
+    is given a position of its own, u, u + 1, ... in vector order.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _probe_rows(space)
@@ -99,47 +101,64 @@ def _fingerprint_index(space: SigmaSpace):
         distinct, inverse, sizes = _unique_rows(rows[finite])
     columns = np.ascontiguousarray(distinct.T)
     spread = np.count_nonzero(np.diff(np.sort(columns, axis=1), axis=1), axis=1)
-    keys = columns[int(np.argmax(spread))]
-    order = np.argsort(keys, kind="stable")
+    key = int(np.argmax(spread))
+    order = np.argsort(columns[key], kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     position = np.cumsum(~finite) - 1 + len(order)
     position[finite] = rank[inverse]
-    return columns.take(order, axis=1), keys[order], sizes[order], position
+    reps = columns.take(order, axis=1)
+    # Neighbours in key order that the key cannot tell apart share a
+    # window: the second key is the column that tells most of them apart.
+    eps = space.tolerance
+    near = np.flatnonzero(np.diff(reps[key]) <= eps)
+    split = np.count_nonzero(np.abs(reps[:, near + 1] - reps[:, near]) > eps, axis=1)
+    split[key] = -1
+    return reps, reps[[key, int(np.argmax(split))]], sizes[order], position
 
 
 def _window_matches(candidates, keys, queries, targets, eps: float, first=0):
     """Pairs (t, c) where the row targets(t) agrees with column c of candidates.
 
     candidates holds the rows as the columns of a C-contiguous (2n, u)
-    array, sorted on keys; targets(t) returns a (2n, len(t)) block and
-    queries holds the key column of the targets. Only a fixed-radius
-    window of keys around each query is checked (Bentley, Stanat &
-    Williams, IPL 1977): agreeing rows are zero at column 0, so each
-    column of their difference is at most eps. A few ulps of slack let
-    rounding add candidates, never drop one; fmax drops the NaN slack of
-    infinite values. Windows start no earlier than first, one position
-    for all queries or one per query: a self-join (queries is keys) that
-    passes first = t + 1 finds each pair once, since every window reaches
-    past its own query. Chunks of about _CHUNK floats keep any (targets x
-    candidates x 2n) tensor from being built.
+    array, sorted on keys[0]; keys holds two of its rows and queries the
+    same two columns of the targets, computed as targets(t) computes
+    them; targets(t) returns a (2n, len(t)) block. Agreeing rows are zero
+    at column 0, so each column of their difference is at most eps: a
+    fixed-radius search on two key columns (Bentley & Friedman, ACM
+    Computing Surveys 11(4), 1979). Only a window of keys[0] around each
+    query is taken (Bentley, Stanat & Williams, IPL 1977); a few ulps of
+    slack let rounding add candidates, never drop one, and fmax drops the
+    NaN slack of infinite values. A candidate whose keys[1] differs from
+    the query by more than eps is dropped: that difference is bitwise a
+    column of the full one, so the range rule would reject it; a NaN
+    difference is kept for the range rule to reject. Windows start no
+    earlier than first, one position for all queries or one per query: a
+    self-join (queries is keys) that passes first = t + 1 finds each pair
+    once, since every window reaches past its own query. Index pairs are
+    made in blocks of about _CHUNK and rows checked in blocks of about
+    _CHUNK floats, so no (targets x candidates x 2n) tensor is built.
     """
-    radius = np.fmax(eps + 4 * np.spacing(np.abs(queries) + eps), eps)
-    lo = np.maximum(np.searchsorted(keys, queries - radius, "left"), first)
-    counts = np.searchsorted(keys, queries + radius, "right") - lo
+    radius = np.fmax(eps + 4 * np.spacing(np.abs(queries[0]) + eps), eps)
+    lo = np.maximum(np.searchsorted(keys[0], queries[0] - radius, "left"), first)
+    counts = np.searchsorted(keys[0], queries[0] + radius, "right") - lo
     base = np.concatenate(([0], np.cumsum(counts)))
     step = max(1, _CHUNK // candidates.shape[0])
-    found_t, found_c = [], []
+    found_t, found_c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     t0 = 0
     while t0 < len(counts):
-        t1 = max(t0 + 1, int(np.searchsorted(base, base[t0] + step, "right")) - 1)
+        t1 = max(t0 + 1, int(np.searchsorted(base, base[t0] + _CHUNK, "right")) - 1)
         t = np.repeat(np.arange(t0, t1), counts[t0:t1])
         c = np.arange(base[t0], base[t1]) - np.repeat(
             base[t0:t1] - lo[t0:t1], counts[t0:t1]
         )
-        ok = _rows_agree(targets(t) - candidates.take(c, axis=1), eps)
-        found_t.append(t[ok])
-        found_c.append(c[ok])
+        near = ~(np.abs(queries[1].take(t) - keys[1].take(c)) > eps)
+        t, c = t[near], c[near]
+        for s in range(0, len(t), step):
+            ts, cs = t[s : s + step], c[s : s + step]
+            ok = _rows_agree(targets(ts) - candidates.take(cs, axis=1), eps)
+            found_t.append(ts[ok])
+            found_c.append(cs[ok])
         t0 = t1
     return np.concatenate(found_t), np.concatenate(found_c)
 
@@ -275,7 +294,7 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
 
     Vectors with identical fingerprint rows form buckets; a row that
     overflowed agrees with nothing and is a bucket of its own. Agreeing
-    pairs of buckets are found by a window lookup on one sorted column,
+    pairs of buckets are found by a window lookup on two key columns,
     each pair once, and merged by an array closure (_components). Output
     order is deterministic: vectors inside a class sorted
     lexicographically, classes sorted by first member.
@@ -291,7 +310,7 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
             keys,
             lambda t: reps.take(t, axis=1),
             space.tolerance,
-            first=np.arange(1, len(keys) + 1),
+            first=np.arange(1, reps.shape[1] + 1),
         )
 
     roots = _components(int(position.max()) + 1, a, b)
@@ -313,7 +332,9 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     )
     grouped = lexical[np.argsort(leader[cls], kind="stable")]
     names = np.array(points, dtype=object)
-    vectors = list(map(Vector, names[grouped // n], names[grouped % n]))
+    # tuple.__new__ skips the namedtuple's Python-level __new__.
+    ends_of = zip(names[grouped // n], names[grouped % n])
+    vectors = list(map(tuple.__new__, itertools.repeat(Vector), ends_of))
     ends = np.cumsum(members[np.argsort(leader)]).tolist()
     classes = tuple(tuple(vectors[s:e]) for s, e in zip([0] + ends, ends))
     method = "union-find" if len(a) else "fingerprint-buckets"

@@ -272,8 +272,8 @@ def survey_linearity(
     solves the combination, and guaranteed when an always-defined case
     applies. Vectors with identical fingerprint rows are collapsed, which
     leaves per-pair semantics intact, and the targets of all pairs of
-    representatives are looked up at once in a window on one sorted
-    column. A row that overflowed matches nothing.
+    representatives are looked up at once in a window on two key
+    columns. A row that overflowed matches nothing.
     """
     _check_limit(space, limit, force)
     n = len(space)
@@ -287,8 +287,10 @@ def survey_linearity(
     for c in coeff_list:
         a, b = c.alpha, c.beta
         with np.errstate(over="ignore", invalid="ignore"):
-            # Target t combines representatives t // u and t % u.
-            queries = np.add.outer(a * keys, b * keys).ravel()
+            # Target t combines representatives t // u and t % u. Its key
+            # columns take the float steps of targets(t), so each key
+            # difference is bitwise the one the full row check sees.
+            queries = ((a * keys)[:, :, None] + (b * keys)[:, None, :]).reshape(2, -1)
             scaled_a, scaled_b = a * reps, b * reps
             found, _ = _window_matches(
                 reps,

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import tgeom
+from tgeom import cli
 from tgeom.cli import main
 from tgeom.errors import NonFiniteValue, NonzeroDiagonal
 from tgeom.tablefile import load_space
@@ -305,3 +312,47 @@ def test_usage_errors_exit_as_input_errors(tri_file, capsys):
 def test_missing_file_is_input_error(capsys):
     assert main(["check", "/nonexistent/path.sigma"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_reused_parser_leaks_nothing(tmp_path, capsys):
+    # main builds its parser once per process. Each call on the shared
+    # parser must print and exit exactly as a call on a fresh one does:
+    # no --delete cell and no --coeffs pair carries over to a later call,
+    # and a usage error leaves nothing behind.
+    grid = str(tmp_path / "g.sigma")
+    assert main(["grid", "--dim", "2", "--size", "3", "--out", grid]) == 0
+    survey = ["survey", grid, "--coeffs", "1,1", "--coeffs", "2,-1"]
+    calls = [
+        ["grid", "--dim", "2", "--size", "3", "--delete", "1,2"],
+        ["grid", "--dim", "2", "--size", "3"],
+        survey,
+        survey,
+        ["survey", grid, "--coeffs", "1,1", "--limit", "0"],
+        ["dot", grid, "p0_0", "p1_2", "p0_0", "p1_2"],
+    ]
+
+    def run(argv):
+        code = main(list(argv))
+        return (code, *capsys.readouterr())
+
+    capsys.readouterr()
+    reused = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert "p1_2" not in reused[0][1] and "p1_2" in reused[1][1]
+    assert len(reused[3][1].splitlines()) == 3  # a header and two rows
+    assert reused[4][0] == 1 and "usage:" in reused[4][2]
+    assert reused[5] == (0, "5.0\n", "")
+    assert cli._parser() is cli._parser()
+
+
+def test_import_builds_no_parser():
+    probe = "import tgeom, tgeom.cli; print(tgeom.cli._parser.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=str(Path(tgeom.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0\n"

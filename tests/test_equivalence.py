@@ -367,19 +367,32 @@ def _self_join_pairs(reps, keys, eps, first=0):
     return set(zip(t.tolist(), c.tolist()))
 
 
+def _all_pairs(candidates, targets, eps):
+    """Every pair (t, c) of columns that agree, by the range rule on all pairs."""
+    u = candidates.shape[1]
+    pairs = set()
+    for t0 in range(0, targets.shape[1], 64):
+        delta = targets[:, t0 : t0 + 64, None] - candidates[:, None, :]
+        t, c = np.divmod(np.flatnonzero(_rows_agree(delta.reshape(len(delta), -1), eps)), u)
+        pairs.update(zip((t + t0).tolist(), c.tolist()))
+    return pairs
+
+
 @pytest.mark.parametrize("chunk", [None, 1, 100])
 def test_one_sided_self_join_finds_each_pair_once(monkeypatch, chunk):
     # A window that starts after its own query must find exactly the
     # pairs t < c of the full self-join; and the full join is symmetric,
-    # so dropping its pairs t > c loses no agreeing pair.
+    # so dropping its pairs t > c loses no agreeing pair. The full join,
+    # second key column included, finds what a check of all pairs finds.
     if chunk is not None:
         monkeypatch.setattr(equivalence, "_CHUNK", chunk)
     rng = np.random.default_rng(29)
-    # Small integers at tolerance 1: long runs of tied keys, many matches.
+    # Small integers at tolerance 1: long runs of tied keys, in both key
+    # columns, and many matches.
     tied = rng.integers(0, 4, size=(8, 60)).astype(float)
     tied[[0, 4]] = 0.0  # each half zero at column 0, as fingerprint rows are
     tied = tied[:, np.argsort(tied[2], kind="stable")]
-    inputs = [(np.ascontiguousarray(tied), tied[2].copy(), 1.0)]
+    inputs = [(np.ascontiguousarray(tied), tied[[2, 3]], 1.0)]
     for scale in (0.125, 0.25, 0.5, 1.0):
         space = perturbed_grid(rng, 3, scale)
         reps, keys, _, _ = _fingerprint_index(space)
@@ -387,12 +400,47 @@ def test_one_sided_self_join_finds_each_pair_once(monkeypatch, chunk):
     matched = 0
     for reps, keys, eps in inputs:
         full = _self_join_pairs(reps, keys, eps)
+        assert full == _all_pairs(reps, reps, eps)
         below = {(t, c) for t, c in full if t < c}
         assert {(c, t) for t, c in full if t > c} == below
-        one_sided = _self_join_pairs(reps, keys, eps, np.arange(1, len(keys) + 1))
+        one_sided = _self_join_pairs(reps, keys, eps, np.arange(1, reps.shape[1] + 1))
         assert one_sided == below
         matched += len(below)
     assert matched > 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("chunk", [None, 1, 100])
+def test_two_key_join_of_survey_targets_equals_all_pairs(monkeypatch, chunk):
+    # The second key column drops only pairs that the range rule rejects,
+    # also for targets that are not candidates, some of which overflow
+    # to inf and nan on the 1.5e308 table: the join finds every pair that
+    # a check of all pairs finds.
+    if chunk is not None:
+        monkeypatch.setattr(equivalence, "_CHUNK", chunk)
+    big = 1.5e308
+    over = build_finite_table(
+        ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+    )
+    rng = np.random.default_rng(30)
+    overflowed = False
+    for space in [over] + [perturbed_grid(rng, 3, scale) for scale in (0.125, 1.0)]:
+        reps, keys, _, _ = _fingerprint_index(space)
+        eps = space.tolerance
+        # Which rows of reps the two keys are, to read them off the targets.
+        columns = [int(np.flatnonzero((reps == key).all(axis=1))[0]) for key in keys]
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Rows, overflowed ones too, combined as the survey combines
+            # representatives: each of the first nine with every row.
+            rows = _probe_rows(space).T
+            for a, b in ((1.0, 1.0), (2.0, -1.0)):
+                every = (a * rows[:, :9, None] + b * rows[:, None, :]).reshape(len(rows), -1)
+                t, c = _window_matches(
+                    reps, keys, every[columns], lambda t: every.take(t, axis=1), eps
+                )
+                assert set(zip(t.tolist(), c.tolist())) == _all_pairs(reps, every, eps)
+                overflowed |= bool(np.isnan(every).any() and np.isinf(every).any())
+    assert overflowed
 
 
 def _cell_shift(v):
