@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import random
 import sys
 from pathlib import Path
@@ -34,6 +33,7 @@ from .space import (
     GridSpec,
     build_finite_table,
     build_grid_space,
+    checked_tolerance,
     is_symmetric,
 )
 from .tablefile import (
@@ -62,6 +62,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load(args):
     return load_space(args.file, tolerance=args.tolerance)
+
+
+def _limit(args) -> int | None:
+    return None if args.force else args.limit
 
 
 def _write_space(space, out: str | None, note: str) -> None:
@@ -94,17 +98,16 @@ def cmd_check(args) -> int:
     lines.append("diagonal/finiteness: ok")
     lines.append(f"symmetric: {'yes' if is_symmetric(space) else 'no'}")
     violation_count = 0
-    if len(space) <= IDENTITY_CHECK_LIMIT:
+    try:
         report = verify_identities(space)
+    except SearchLimitExceeded:
+        lines.append(f"identities: skipped ({len(space)} points > {IDENTITY_CHECK_LIMIT})")
+    else:
         violation_count = len(report.violations)
         note = f"identities: {violation_count} violation(s), {report.checked} tuples checked"
         if report.skipped:
             note += f" (skipped: {', '.join(report.skipped)})"
         lines.append(note)
-    else:
-        lines.append(
-            f"identities: skipped ({len(space)} points > {IDENTITY_CHECK_LIMIT})"
-        )
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_VIOLATIONS if violation_count else EXIT_OK
 
@@ -137,9 +140,7 @@ def cmd_combine(args) -> int:
     coeffs = Coefficients(args.alpha, args.beta)
     v = Vector(args.p0, args.p1)
     w = Vector(args.r0, args.r1)
-    result = solve_combination(
-        space, coeffs, v, w, limit=args.limit, force=args.force
-    )
+    result = solve_combination(space, coeffs, v, w, limit=_limit(args))
     if args.format == "csv":
         lines = ["origin,end"] + [f"{s.origin},{s.end}" for s in result.solutions]
     else:
@@ -171,7 +172,7 @@ def cmd_survey(args) -> int:
         if len(parts) != 2:
             raise ValueError(f"--coeffs expects 'alpha,beta', got {spec!r}")
         coeff_list.append(Coefficients(float(parts[0]), float(parts[1])))
-    report = survey_linearity(space, coeff_list, limit=args.limit, force=args.force)
+    report = survey_linearity(space, coeff_list, limit=_limit(args))
     if args.format == "human":
         lines = [f"{'alpha':>8} {'beta':>8} {'total':>8} {'solvable':>9} "
                  f"{'guaranteed':>11} {'unsolvable':>11}"]
@@ -188,7 +189,7 @@ def cmd_survey(args) -> int:
 
 def cmd_identities(args) -> int:
     space = _load(args)
-    report = verify_identities(space, max_points=args.limit)
+    report = verify_identities(space, limit=_limit(args))
     lines = [
         f"checked: {report.checked} tuples",
         f"violations: {len(report.violations)}",
@@ -221,11 +222,11 @@ def cmd_random(args) -> int:
     return EXIT_OK
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError("must be a finite real > 0")
-    return value
+def _tolerance(text: str) -> float:
+    try:
+        return checked_tolerance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -245,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, *, limit=None, fmt=None):
-        p.add_argument("--tolerance", type=_positive_float, default=None,
-                       help="override the comparison tolerance")
+        p.add_argument("--tolerance", type=_tolerance, default=None,
+                       help="override the comparison tolerance (>= 0)")
         p.add_argument("--out", default=None, help="write output to a file")
         if limit is not None:
             p.add_argument("--limit", type=_positive_int, default=limit,

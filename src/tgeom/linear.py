@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ChainMismatch, NotGuaranteed, SearchLimitExceeded
+from .errors import ChainMismatch, NotGuaranteed
 from .equivalence import (
     _fingerprint_index,
     _probe_rows,
@@ -25,7 +25,7 @@ from .equivalence import (
     _window_matches,
     _within,
 )
-from .space import SigmaSpace
+from .space import SigmaSpace, enforce_limit
 from .vectors import Vector
 
 SEARCH_LIMIT = 40
@@ -173,23 +173,13 @@ class CombinationResult:
         return bool(self.solutions)
 
 
-def _check_limit(space: SigmaSpace, limit: int, force: bool) -> None:
-    n = len(space)
-    if not force and n > limit:
-        raise SearchLimitExceeded(
-            f"{n} points exceeds the search limit of {limit}; "
-            f"pass force=True to run anyway"
-        )
-
-
 def solve_combination(
     space: SigmaSpace,
     c: Coefficients,
     v: Vector,
     w: Vector,
     *,
-    limit: int = SEARCH_LIMIT,
-    force: bool = False,
+    limit: int | None = SEARCH_LIMIT,
 ) -> CombinationResult:
     """Exhaustively solve α·v + β·w over all candidate point pairs.
 
@@ -197,9 +187,10 @@ def solve_combination(
     the target α·(row of v) + β·(row of w) under the range rule, which
     is the probe-response match in both argument slots. Candidates are
     first pruned on the first-slot half of the row, then survivors are
-    checked on both halves.
+    checked on both halves. More than limit points are refused;
+    limit=None searches any size.
     """
-    _check_limit(space, limit, force)
+    enforce_limit(space, limit, "search")
     v, w = Vector(*v), Vector(*w)
     n = len(space)
     m = space.matrix
@@ -262,8 +253,7 @@ def survey_linearity(
     space: SigmaSpace,
     coeff_list: list[Coefficients],
     *,
-    limit: int = SEARCH_LIMIT,
-    force: bool = False,
+    limit: int | None = SEARCH_LIMIT,
 ) -> SurveyReport:
     """Count solvable / guaranteed / unsolvable vector pairs per coefficients.
 
@@ -273,9 +263,10 @@ def survey_linearity(
     applies. Vectors with identical fingerprint rows are collapsed, which
     leaves per-pair semantics intact, and the targets of all pairs of
     representatives are looked up at once in a window on two key
-    columns. A row that overflowed matches nothing.
+    columns. A row that overflowed matches nothing. More than limit
+    points are refused; limit=None surveys any size.
     """
-    _check_limit(space, limit, force)
+    enforce_limit(space, limit, "survey")
     n = len(space)
     eps = space.tolerance
     count = n * n

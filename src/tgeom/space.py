@@ -31,6 +31,7 @@ from .errors import (
     MissingEntry,
     NonFiniteValue,
     NonzeroDiagonal,
+    SearchLimitExceeded,
     UnknownPoint,
 )
 
@@ -68,6 +69,24 @@ def _checked_labels(points: Iterable[PointId]) -> tuple[str, ...]:
                 "without whitespace"
             )
     return labels
+
+
+def checked_tolerance(tolerance: float) -> float:
+    """The tolerance as a float; the one range test of every tolerance."""
+    tolerance = float(tolerance)
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidTolerance("tolerance must be a non-negative finite real")
+    return tolerance
+
+
+def enforce_limit(space: SigmaSpace, limit: int | None, task: str) -> None:
+    """Refuse task on more than limit points; the one size rule, None lifts it."""
+    n = len(space)
+    if limit is not None and n > limit:
+        raise SearchLimitExceeded(
+            f"{task} over {n} points exceeds the limit of {limit}; "
+            "limit=None (--force) lifts it"
+        )
 
 
 def euclidean_sigma(x: Sequence[float], y: Sequence[float]) -> float:
@@ -143,9 +162,7 @@ class SigmaSpace:
         tolerance: float = DEFAULT_TOLERANCE,
     ):
         labels = _checked_labels(points)
-        tolerance = float(tolerance)
-        if not (math.isfinite(tolerance) and tolerance >= 0.0):
-            raise InvalidTolerance("tolerance must be a non-negative finite real")
+        tolerance = checked_tolerance(tolerance)
 
         m = np.array(matrix, dtype=float)
         n = len(labels)

@@ -24,19 +24,19 @@ those as violations), but only a clean table builds a space.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import TableParseError
+from .errors import InvalidTolerance, TableParseError
 from .space import (
     DEFAULT_TOLERANCE,
     Conflict,
     Missing,
     SigmaSpace,
     assemble_matrix,
+    checked_tolerance,
     matrix_problems,
 )
 
@@ -57,13 +57,11 @@ class ParsedTable:
 
 _CHUNK = 1 << 18  # characters per bulk chunk; every chunk ends at a "\n"
 
-# Line breaks that str.splitlines honours besides "\n". A body holding
-# one is left to the per-line loop, whose line numbers count them.
-_OTHER_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-
 # The bytes at or below b" " in a canonical body line, read as one
 # little-endian uint32: its three single spaces, then its newline.
 _SEPARATORS = 0x0A202020
+# The six bytes that start a canonical body line, as a little-endian word.
+_SIGMA = int.from_bytes(b"sigma:", "little")
 # Trails the bytes that words are read from, so that a word starting at
 # any of their offsets is whole.
 _PAD = bytes(8)
@@ -225,12 +223,11 @@ class _Header:
                 return "tolerance: must come before sigma: lines"
             body = line[len("tolerance:") :].strip()
             try:
-                tolerance = float(body)
+                self.tolerance = checked_tolerance(float(body))
+            except InvalidTolerance as exc:
+                return str(exc)
             except ValueError:
                 return f"cannot read tolerance value {body!r}"
-            if not (math.isfinite(tolerance) and tolerance >= 0.0):
-                return "tolerance must be a non-negative finite real"
-            self.tolerance = tolerance
             return None
         return f"unknown directive in line {line!r}"
 
@@ -273,15 +270,9 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
         return None
 
     if start < len(text) and not text.endswith("\n"):
-        # The counts below prove line alignment only for "\n"-ended lines.
+        # An unterminated last line holds no separator byte to flag it.
         return None
-    # Proved once for the whole body, before any field is read: each of
-    # its lines starts with "sigma: " and no other line break occurs.
-    total = text.count("\n", start)
-    if text.count("\nsigma: ", start - 1) != total:
-        return None
-    if any(text.find(brk, start) >= 0 for brk in _OTHER_BREAKS):
-        return None
+    total = text.count("\n", start)  # a canonical body has one line per "\n"
     try:
         labels = _LabelKeys.of(state.labels)
     except UnicodeEncodeError:
@@ -298,16 +289,21 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
         except UnicodeEncodeError:  # a lone surrogate
             return None
         start = end
-        # With "sigma: " heading every line, bytes at or below b" " in
-        # the order space, space, space, newline, and in no other, give
-        # each line three fields that hold no whitespace, NUL or tab.
+        # Bytes at or below b" " in the order space, space, space,
+        # newline, and in no other, part each line into four fields free
+        # of whitespace, NUL and tab. The line breaks U+0085, U+2028 and
+        # U+2029 are UTF-8 above b" ", so they land inside a field, which
+        # the label lookup or float(bytes) then rejects.
         raw = np.frombuffer(data, np.uint8, len(data) - len(_PAD))
         low = np.flatnonzero(raw <= 32)
         if low.size % 4 or (raw[low].view("<u4") != _SEPARATORS).any():
             return None
-        # One row per field, one column per line: P, Q and the value.
-        low = low.reshape(-1, 4).T.copy()
+        low = low.reshape(-1, 4).T.copy()  # one column per line
         m = low.shape[1]
+        heads = np.r_[0, low[3, :-1] + 1]  # where each line starts
+        if (low[0] != heads + 6).any() or (_words(data, heads, 6, 1)[0] != _SIGMA).any():
+            return None  # a first field other than "sigma:"
+        # One row per field: P, Q and the value.
         starts = low[:3] + 1
         lengths = low[1:] - starts
         found = labels.find(data, starts[:2], lengths[:2])

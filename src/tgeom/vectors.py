@@ -15,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SearchLimitExceeded
-from .space import PointId, SigmaSpace, is_symmetric
+from .space import PointId, SigmaSpace, enforce_limit, is_symmetric
 
 
 class Vector(NamedTuple):
@@ -100,26 +99,21 @@ class IdentityReport:
         return not self.violations
 
 
-def verify_identities(space: SigmaSpace, max_points: int = IDENTITY_CHECK_LIMIT) -> IdentityReport:
+def verify_identities(space: SigmaSpace, *, limit: int | None = IDENTITY_CHECK_LIMIT) -> IdentityReport:
     """Exhaustively check the universal scalar-product identities.
 
     The two reversal identities and (on symmetric spaces) the exchange
     identity run over all 4-tuples of points; the two chain identities
-    run over all 5-tuples. Spaces larger than max_points are refused
+    run over all 5-tuples. Spaces of more than limit points are refused
     rather than silently sampled, since the whole value of the report is
-    that it is exhaustive.
+    that it is exhaustive; limit=None sweeps any size.
 
     Violations are data, not errors: they can only arise from extreme
     value magnitudes (cancellation beyond the tolerance) or from probing
     a nearly-but-not-exactly symmetric space.
     """
+    enforce_limit(space, limit, "identity sweep")
     n = len(space)
-    if n > max_points:
-        raise SearchLimitExceeded(
-            f"identity sweep over {n} points exceeds the limit of {max_points} "
-            f"(the 5-tuple pass grows as the fifth power)"
-        )
-
     m = space.matrix
     eps = space.tolerance
     labels = space.points

@@ -274,6 +274,7 @@ def test_identities_limit(tmp_path, capsys):
     capsys.readouterr()
     assert main(["identities", path]) == 5
     assert main(["identities", path, "--limit", "16"]) == 0
+    assert main(["identities", path, "--force"]) == 0
 
 
 def test_random_subcommand_deterministic(tmp_path, capsys):
@@ -303,10 +304,17 @@ def test_out_flag_writes_file(tri_file, tmp_path, capsys):
 def test_usage_errors_exit_as_input_errors(tri_file, capsys):
     assert main([]) == 1  # missing subcommand
     assert main(["combine", tri_file, "x", "1", "A", "B", "B", "C"]) == 1
-    # a tolerance must be finite, as in a table file
-    assert main(["check", tri_file, "--tolerance", "inf"]) == 1
+    # a tolerance must be finite and >= 0, as in a table file
+    capsys.readouterr()
+    for bad in ("-1", "nan", "inf"):
+        assert main(["check", tri_file, "--tolerance", bad]) == 1
+        err = capsys.readouterr().err
+        assert "tolerance must be a non-negative finite real" in err
+        assert "invalid" not in err
     assert main(["grid", "--dim", "1", "--size", "2", "--tolerance", "inf"]) == 1
     capsys.readouterr()
+    assert main(["check", tri_file, "--tolerance", "0"]) == 0
+    assert "tolerance: 0.0\n" in capsys.readouterr().out
 
 
 def test_missing_file_is_input_error(capsys):

@@ -233,8 +233,7 @@ def test_search_limit_guard(grid33):
         Coefficients(1.0, 1.0),
         Vector("p0_0", "p1_0"),
         Vector("p0_0", "p0_1"),
-        limit=5,
-        force=True,
+        limit=None,
     )
     assert Vector("p0_0", "p1_1") in result.solutions
 

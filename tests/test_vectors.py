@@ -119,7 +119,7 @@ def test_identity_sweep_refuses_large_spaces():
     with pytest.raises(SearchLimitExceeded):
         verify_identities(space)
     # explicit limit raise lets it run
-    assert verify_identities(space, max_points=16).ok
+    assert verify_identities(space, limit=16).ok
 
 
 def test_exchange_violation_on_sub_tolerance_asymmetry():
