@@ -53,9 +53,12 @@ EXIT_NO_SOLUTION = 4
 EXIT_LIMIT = 5
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text: str, out: str | None, note: str | None = None) -> None:
+    """Print text, or write it to out and print the note, if any, instead."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
+        if note:
+            sys.stdout.write(f"wrote {out} ({note})\n")
     else:
         sys.stdout.write(text)
 
@@ -68,24 +71,13 @@ def _limit(args) -> int | None:
     return None if args.force else args.limit
 
 
-def _write_space(space, out: str | None, note: str) -> None:
-    """Write the table file of a space to out, or print it."""
-    text = format_space(space)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        sys.stdout.write(f"wrote {out} ({note})\n")
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_check(args) -> int:
-    parsed = parse_table_file(args.file)
-    eps = args.tolerance if args.tolerance is not None else parsed.effective_tolerance
-    problems = validation_problems(parsed, tolerance=eps)
+    parsed = parse_table_file(args.file, args.tolerance)
+    problems = validation_problems(parsed)
     lines = [
         f"file: {args.file}",
         f"points: {len(parsed.labels)}",
-        f"tolerance: {eps!r}",
+        f"tolerance: {parsed.tolerance!r}",
     ]
     if problems:
         lines.append(f"diagonal/finiteness: {len(problems)} violation(s)")
@@ -94,7 +86,7 @@ def cmd_check(args) -> int:
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_VIOLATIONS
 
-    space = space_from_parsed(parsed, tolerance=eps)
+    space = space_from_parsed(parsed)
     lines.append("diagonal/finiteness: ok")
     lines.append(f"symmetric: {'yes' if is_symmetric(space) else 'no'}")
     violation_count = 0
@@ -156,11 +148,8 @@ def cmd_combine(args) -> int:
 def cmd_grid(args) -> int:
     deleted = frozenset(tuple(int(c) for c in cell.split(",")) for cell in args.delete)
     spec = GridSpec(dim=args.dim, size=args.size, deleted=deleted)
-    space = build_grid_space(
-        spec,
-        tolerance=args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE,
-    )
-    _write_space(space, args.out, f"{len(space)} points")
+    space = build_grid_space(spec, tolerance=args.tolerance)
+    _emit(format_space(space), args.out, f"{len(space)} points")
     return EXIT_OK
 
 
@@ -218,7 +207,7 @@ def cmd_random(args) -> int:
             if args.asymmetric:
                 entries.append((labels[j], labels[i], rng.uniform(args.low, args.high)))
     space = build_finite_table(labels, entries)
-    _write_space(space, args.out, f"{len(space)} points, seed {args.seed}")
+    _emit(format_space(space), args.out, f"{len(space)} points, seed {args.seed}")
     return EXIT_OK
 
 
@@ -297,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delete", action="append", default=[], metavar="X,Y",
                    help="grid cell to delete (repeatable)")
     add_common(p)
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_grid, tolerance=DEFAULT_TOLERANCE)
 
     p = sub.add_parser("survey", help="per-coefficient solvability counts")
     p.add_argument("file")

@@ -296,22 +296,16 @@ def build_finite_table(
     default to zero; a supplied diagonal beyond the tolerance is
     rejected. Repeating an ordered pair is an error unless the values
     agree within the tolerance, in which case the first one wins.
-    Errors follow entry order: the earliest bad entry is reported.
+    An invalid tolerance is reported first; after that errors follow
+    entry order: the earliest bad entry is reported.
     """
     label_list = _checked_labels(labels)
+    tolerance = checked_tolerance(tolerance)
     index = {label: i for i, label in enumerate(label_list)}
-    n = len(label_list)
     rows: list[int] = []
     cols: list[int] = []
     values: list[float] = []
-
-    def duplicate(found: Conflict) -> DuplicateEntry:
-        k = found.entry
-        return DuplicateEntry(
-            f"pair ({label_list[rows[k]]}, {label_list[cols[k]]}) given twice "
-            f"with conflicting values {found.first!r} and {values[k]!r}"
-        )
-
+    stop = None
     try:
         for p, q, value in entries:
             if p not in index:
@@ -321,16 +315,18 @@ def build_finite_table(
             values.append(float(value))
             rows.append(index[p])
             cols.append(index[q])
-    except Exception:
-        # A conflicting repeat before the bad entry is the earlier error.
-        found = assemble_matrix(n, rows, cols, values, tolerance)
-        if isinstance(found, Conflict):
-            raise duplicate(found) from None
-        raise
+    except Exception as exc:
+        stop = exc  # a conflicting repeat before the bad entry comes first
 
-    found = assemble_matrix(n, rows, cols, values, tolerance)
+    found = assemble_matrix(len(label_list), rows, cols, values, tolerance)
     if isinstance(found, Conflict):
-        raise duplicate(found)
+        k = found.entry
+        raise DuplicateEntry(
+            f"pair ({label_list[rows[k]]}, {label_list[cols[k]]}) given twice "
+            f"with conflicting values {found.first!r} and {values[k]!r}"
+        )
+    if stop is not None:
+        raise stop
     if isinstance(found, Missing):
         raise MissingEntry(
             f"no value for pair ({label_list[found.i]}, {label_list[found.j]})"

@@ -24,7 +24,7 @@ those as violations), but only a clean table builds a space.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +47,8 @@ class ParsedTable:
 
     path: str
     labels: tuple[str, ...]
-    tolerance: float | None
+    tolerance: float  # the ε in force: the file's, the default, or an override
     matrix: np.ndarray
-
-    @property
-    def effective_tolerance(self) -> float:
-        return DEFAULT_TOLERANCE if self.tolerance is None else self.tolerance
 
 
 _CHUNK = 1 << 18  # characters per bulk chunk; every chunk ends at a "\n"
@@ -186,21 +182,50 @@ def _read_values(
 
 @dataclass
 class _Header:
-    """What the lines other than sigma: lines set: the points and ε."""
+    """Everything the lines of a file set: the points, ε and the entries.
+
+    Entry k gives the value values[k] to the ordered pair (rows[k],
+    cols[k]) on line lines[k].
+    """
 
     labels: list[str] | None = None
     index: dict[str, int] = field(default_factory=dict)
     tolerance: float | None = None
+    rows: list[int] = field(default_factory=list)
+    cols: list[int] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)
+    lines: list[int] = field(default_factory=list)
 
     @property
     def eps(self) -> float:
         return DEFAULT_TOLERANCE if self.tolerance is None else self.tolerance
 
-    def read(self, line: str, after_sigma: bool) -> str | None:
-        """Take one stripped line that is not a sigma: line.
+    def read(self, line: str, line_no: int) -> str | None:
+        """Take one stripped line, the line_no-th of its file.
 
         Returns why the line is wrong, or None when it is accepted.
         """
+        if line.startswith("sigma:"):  # first: nearly every line is one
+            if self.labels is None:
+                return "first directive must be a points: line"
+            parts = line[6:].split()
+            if len(parts) != 3:
+                return "sigma: line needs exactly '<P> <Q> <value>'"
+            p, q, raw_value = parts
+            i = self.index.get(p)
+            if i is None:
+                return f"sigma: references unknown point '{p}'"
+            j = self.index.get(q)
+            if j is None:
+                return f"sigma: references unknown point '{q}'"
+            try:
+                self.values.append(float(raw_value))
+            except ValueError:
+                return f"cannot read sigma value {raw_value!r}"
+            self.rows.append(i)
+            self.cols.append(j)
+            self.lines.append(line_no)
+            return None
         if not line or line.startswith("#"):
             return None
         if line.startswith("points:"):
@@ -219,7 +244,7 @@ class _Header:
         if line.startswith("tolerance:"):
             if self.tolerance is not None:
                 return "duplicate tolerance: line"
-            if after_sigma:
+            if self.rows:
                 return "tolerance: must come before sigma: lines"
             body = line[len("tolerance:") :].strip()
             try:
@@ -263,8 +288,8 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
     if "sigma:" in header:
         return None
     state = _Header()
-    for raw in header.splitlines():
-        if state.read(raw.strip(), after_sigma=False) is not None:
+    for line_no, raw in enumerate(header.splitlines(), start=1):
+        if state.read(raw.strip(), line_no) is not None:
             return None
     if state.labels is None:
         return None
@@ -320,101 +345,74 @@ def _parse_bulk(text: str, path: str) -> ParsedTable | None:
     if not isinstance(found, np.ndarray):
         return None
     return ParsedTable(
-        path=path, labels=tuple(state.labels), tolerance=state.tolerance, matrix=found
+        path=path, labels=tuple(state.labels), tolerance=state.eps, matrix=found
     )
 
 
 def _parse_lines(text: str, path: str) -> ParsedTable:
-    """Parse line by line; the only source of TableParseError."""
-    state = _Header()
-    rows: list[int] = []
-    cols: list[int] = []
-    values: list[float] = []
-    entry_lines: list[int] = []
-    line_no = 0
+    """Parse line by line; the only source of TableParseError.
 
-    def conflict(found: Conflict) -> TableParseError:
+    Reading stops at the first wrong line. Repeats are judged only once
+    reading ends, so a conflicting repeat on an earlier line comes
+    first, then the wrong line, then a pair missing in both directions.
+    """
+    state = _Header()
+    stop = None
+    line_no = 0
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        reason = state.read(raw.strip(), line_no)
+        if reason is not None:
+            stop = TableParseError(path, line_no, reason)
+            break
+    else:
+        line_no += 1  # report end-of-file problems just past the last line
+        if state.labels is None:
+            stop = TableParseError(path, line_no, "file contains no points: line")
+
+    labels, rows, cols, values = state.labels, state.rows, state.cols, state.values
+    found = assemble_matrix(len(state.index), rows, cols, values, state.eps)
+    if isinstance(found, Conflict):
         k = found.entry
-        return TableParseError(
+        raise TableParseError(
             path,
-            entry_lines[k],
-            f"pair ({state.labels[rows[k]]}, {state.labels[cols[k]]}) already has "
+            state.lines[k],
+            f"pair ({labels[rows[k]]}, {labels[cols[k]]}) already has "
             f"value {found.first!r}, conflicting with {values[k]!r}",
         )
-
-    def fail(reason: str) -> TableParseError:
-        # Repeats are checked only once the pass ends, so a conflicting
-        # repeat on an earlier line takes precedence here.
-        found = assemble_matrix(len(state.index), rows, cols, values, state.eps)
-        if isinstance(found, Conflict):
-            return conflict(found)
-        return TableParseError(path, line_no, reason)
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line.startswith("sigma:"):
-            if state.labels is None:
-                raise fail("first directive must be a points: line")
-            parts = line[6:].split()
-            if len(parts) != 3:
-                raise fail("sigma: line needs exactly '<P> <Q> <value>'")
-            p, q, raw_value = parts
-            i = state.index.get(p)
-            if i is None:
-                raise fail(f"sigma: references unknown point '{p}'")
-            j = state.index.get(q)
-            if j is None:
-                raise fail(f"sigma: references unknown point '{q}'")
-            try:
-                values.append(float(raw_value))
-            except ValueError:
-                raise fail(f"cannot read sigma value {raw_value!r}") from None
-            rows.append(i)
-            cols.append(j)
-            entry_lines.append(line_no)
-            continue
-        reason = state.read(line, after_sigma=bool(rows))
-        if reason is not None:
-            raise fail(reason)
-
-    line_no += 1  # report end-of-file problems just past the last line
-    labels = state.labels
-    if labels is None:
-        raise fail("file contains no points: line")
-    found = assemble_matrix(len(labels), rows, cols, values, state.eps)
-    if isinstance(found, Conflict):
-        raise conflict(found)
+    if stop is not None:
+        raise stop
     if isinstance(found, Missing):
         raise TableParseError(
             path,
             line_no,
             f"no sigma value for pair ({labels[found.i]}, {labels[found.j]})",
         )
-    return ParsedTable(
-        path=path, labels=tuple(labels), tolerance=state.tolerance, matrix=found
-    )
+    return ParsedTable(path=path, labels=tuple(labels), tolerance=state.eps, matrix=found)
 
 
-def parse_table_file(path: str | Path) -> ParsedTable:
-    return parse_table_text(Path(path).read_text(encoding="utf-8"), path=str(path))
+def parse_table_file(path: str | Path, tolerance: float | None = None) -> ParsedTable:
+    """Parse a table file; a tolerance given here replaces the file's ε.
+
+    The replacement comes after parsing, so repeated pairs in the file
+    are still judged at the file's own ε.
+    """
+    eps = None if tolerance is None else checked_tolerance(tolerance)
+    parsed = parse_table_text(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return parsed if eps is None else replace(parsed, tolerance=eps)
 
 
-def validation_problems(parsed: ParsedTable, tolerance: float | None = None) -> list[str]:
+def validation_problems(parsed: ParsedTable) -> list[str]:
     """Semantic problems of a parsed table, as the constructor words them."""
-    eps = parsed.effective_tolerance if tolerance is None else tolerance
-    return [str(p) for p in matrix_problems(parsed.labels, parsed.matrix, eps)]
+    return [str(p) for p in matrix_problems(parsed.labels, parsed.matrix, parsed.tolerance)]
 
 
-def space_from_parsed(
-    parsed: ParsedTable, tolerance: float | None = None
-) -> SigmaSpace:
-    eps = parsed.effective_tolerance if tolerance is None else tolerance
-    return SigmaSpace(parsed.labels, parsed.matrix, tolerance=eps)
+def space_from_parsed(parsed: ParsedTable) -> SigmaSpace:
+    return SigmaSpace(parsed.labels, parsed.matrix, tolerance=parsed.tolerance)
 
 
 def load_space(path: str | Path, tolerance: float | None = None) -> SigmaSpace:
-    """Parse and validate a table file into a space."""
-    return space_from_parsed(parse_table_file(path), tolerance=tolerance)
+    """Parse and validate a table file into a space; see parse_table_file."""
+    return space_from_parsed(parse_table_file(path, tolerance))
 
 
 def format_space(space: SigmaSpace) -> str:

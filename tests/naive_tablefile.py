@@ -177,6 +177,9 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
             matrix[i, i] = values[(i, i)]
 
     return ParsedTable(
-        path=path, labels=tuple(labels), tolerance=tolerance, matrix=matrix
+        path=path,
+        labels=tuple(labels),
+        tolerance=DEFAULT_TOLERANCE if tolerance is None else tolerance,
+        matrix=matrix,
     )
 

@@ -317,6 +317,19 @@ def test_usage_errors_exit_as_input_errors(tri_file, capsys):
     assert "tolerance: 0.0\n" in capsys.readouterr().out
 
 
+def test_tolerance_override_applies_after_parsing(tmp_path, capsys):
+    # The repeat differs by less than the file's default ε, so it is read
+    # as agreeing; --tolerance 0 then governs validation only.
+    path = tmp_path / "rep.sigma"
+    path.write_text(
+        "points: A B\nsigma: A B 1.0\nsigma: A B 1.0000000000001\n", encoding="utf-8"
+    )
+    assert main(["check", str(path), "--tolerance", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "tolerance: 0.0\n" in out
+    assert "diagonal/finiteness: ok\n" in out
+
+
 def test_missing_file_is_input_error(capsys):
     assert main(["check", "/nonexistent/path.sigma"]) == 1
     assert "error" in capsys.readouterr().err

@@ -233,6 +233,11 @@ def test_tolerance_must_be_finite_and_non_negative(tolerance):
         SigmaSpace(["A", "B"], [[0.0, 1.0], [1.0, 0.0]], tolerance=tolerance)
     with pytest.raises(InvalidTolerance):
         build_grid_space(GridSpec(dim=1, size=2), tolerance=tolerance)
+    # The tolerance is judged before the entries: neither a repeated pair,
+    # which it would compare, nor a missing pair hides a bad one.
+    for entries in ([("A", "B", 1.0), ("A", "B", 1.0)], [("A", "A", 0.0)]):
+        with pytest.raises(InvalidTolerance, match="non-negative finite"):
+            build_finite_table(["A", "B"], entries, tolerance=tolerance)
 
 
 def test_coordinate_overflow_is_a_typed_error_without_warnings():

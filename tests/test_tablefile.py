@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import tempfile
 from pathlib import Path
 
@@ -16,12 +17,14 @@ from tgeom import (
     EmptySpace,
     GridSpec,
     InvalidLabel,
+    InvalidTolerance,
     NonzeroDiagonal,
     SigmaSpace,
     TableParseError,
     build_grid_space,
     format_space,
     load_space,
+    parse_table_file,
     parse_table_text,
     save_space,
     space_from_parsed,
@@ -177,6 +180,16 @@ def test_load_tolerance_override(tmp_path):
     path = tmp_path / "g.sigma"
     save_space(build_grid_space(GridSpec(dim=1, size=3)), path)
     assert load_space(path, tolerance=1e-3).tolerance == 1e-3
+
+
+@pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan, -1.0])
+def test_load_tolerance_override_must_be_valid(tmp_path, tolerance):
+    path = tmp_path / "g.sigma"
+    save_space(build_grid_space(GridSpec(dim=1, size=3)), path)
+    with pytest.raises(InvalidTolerance, match="non-negative finite"):
+        load_space(path, tolerance=tolerance)
+    with pytest.raises(InvalidTolerance, match="non-negative finite"):
+        parse_table_file(path, tolerance)
 
 
 # Mutations that move text across line boundaries, see _regroup.
