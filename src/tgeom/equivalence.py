@@ -25,6 +25,11 @@ SIDE_FIRST = "first-slot"
 SIDE_SECOND = "second-slot"
 
 _CHUNK = 1 << 13  # floats per temporary array when checking candidates
+_KEY_SAMPLE = 64  # distinct rows whose values choose the sort key column
+# splitmix64 constants, for the per-column weights of _row_hashes.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _within(x, eps: float):
@@ -50,7 +55,9 @@ def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
     Each half is shifted to zero at column 0, which the range rule
     ignores. By default all n² vectors, vector k from point k // n to
     point k % n, written by broadcasting into one array: the same floats
-    as the gather. Callers silence overflow with np.errstate.
+    as the gather. That array is C-contiguous (2n, n²), one vector per
+    column, and the rows are its transpose, since the index reduces down
+    columns. Callers silence overflow with np.errstate.
     """
     m = space.matrix
     if origins is not None:
@@ -59,27 +66,87 @@ def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
         return np.concatenate((d - d[:, :1], e - e[:, :1]), axis=1)
     n = len(space)
     mt = np.ascontiguousarray(m.T)
-    rows = np.empty((n, n, 2 * n))
-    np.subtract(m[:, None], m[None], out=rows[:, :, :n])
-    np.subtract(mt[None], mt[:, None], out=rows[:, :, n:])
-    halves = rows.reshape(n * n, 2, n)
-    halves -= halves[:, :, :1].copy()
-    return rows.reshape(n * n, 2 * n)
+    # columns[h, q, i, j]: column q of half h of the row of vector (i, j).
+    columns = np.empty((2, n, n, n))
+    np.subtract(mt[:, :, None], mt[:, None], out=columns[0])
+    np.subtract(m[:, None], m[:, :, None], out=columns[1])
+    columns -= columns[:, :1].copy()
+    return columns.reshape(2 * n, n * n).T
+
+
+def _row_hashes(words: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row of a 2-D uint64 array.
+
+    The sum of the words times one odd weight per column, modulo 2**64;
+    the weights are splitmix64 outputs of the column numbers (Steele,
+    Lea & Flood, OOPSLA 2014). Every step is on arrays: a numpy scalar
+    product that wraps would warn.
+    """
+    weights = np.arange(1, words.shape[1] + 1, dtype=np.uint64) * _GOLDEN
+    weights ^= weights >> 30
+    weights *= _MIX1
+    weights ^= weights >> 27
+    weights *= _MIX2
+    weights ^= weights >> 31
+    weights |= 1
+    return np.einsum("ij,j->i", words, weights)
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a finite 2-D array, each row's group, and group sizes.
 
-    The partition of np.unique(rows, axis=0) from one 1-D sort over a byte
-    key per row, instead of a sort field by field. Adding 0.0 folds -0.0
-    into +0.0, after which equal finite floats have equal bytes; only the
-    order of the distinct rows differs.
+    The partition of np.unique(rows, axis=0), from one sort of 64-bit row
+    hashes. Adding 0.0 folds -0.0 into +0.0, after which equal finite
+    floats have equal bytes. Each word w is mixed to w ^ (w >> 31) before
+    hashing. Negating a float flips its top bit, which adds 2**63 to any
+    odd multiple of the raw word, so a plain weighted sum would give a
+    row with an even number of nonzero floats the hash of its negation,
+    the row of the reversed vector. Rows with equal hashes form a group,
+    and every row is then proved bytewise equal to the group's first
+    row, so equal rows always share a group and the hash never decides
+    equality: the proof compares mixed words, and the mix is a
+    bijection. A group that fails the proof holds a hash collision; the
+    colliding groups are split by a byte-key np.unique over their rows
+    alone. The distinct rows are one row of rows per group, in hash
+    order and in the layout of rows; the groups are those of np.unique,
+    only their order differs.
     """
-    rows = np.ascontiguousarray(rows + 0.0)
-    width = rows.shape[1]
-    keys = rows.view(np.dtype((np.void, rows.itemsize * width))).ravel()
-    distinct, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return distinct.view(rows.dtype).reshape(-1, width), inverse, counts
+    words = (rows + 0.0).view(np.uint64)
+    words ^= words >> 31
+    hashes = _row_hashes(words)
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    head = np.empty(len(order), dtype=bool)
+    head[:1] = True
+    np.not_equal(hashes[1:], hashes[:-1], out=head[1:])
+    group = np.cumsum(head) - 1  # the group of each position in hash order
+    first = order[head]
+    rest = np.flatnonzero(~head)
+    proved = (words[order[rest]] == words[first[group[rest]]]).all(axis=1)
+    if not proved.all():
+        # A hash collision: give each colliding group's rows new groups by
+        # their bytes, then number the groups 0, 1, ... again.
+        colliding = np.isin(group, group[rest[~proved]])
+        keys = np.ascontiguousarray(words[order[colliding]])
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        group[colliding] = len(first) + np.unique(keys, return_inverse=True)[1]
+        _, at, group = np.unique(group, return_index=True, return_inverse=True)
+        first = order[at]
+    inverse = np.empty_like(order)
+    inverse[order] = group
+    distinct = rows.T.take(first, axis=1).T
+    return distinct, inverse, np.bincount(group, minlength=len(first))
+
+
+def _sort_key(distinct: np.ndarray) -> int:
+    """The column of most distinct values among the first _KEY_SAMPLE rows.
+
+    distinct holds distinct rows in hash order, so the sample is fixed
+    and spread over the rows, and sorting its columns costs a fraction
+    of sorting every row. Ties go to the first such column.
+    """
+    sample = np.sort(distinct[:_KEY_SAMPLE], axis=0)
+    return int(np.argmax(np.count_nonzero(np.diff(sample, axis=0), axis=0)))
 
 
 def _fingerprint_index(space: SigmaSpace):
@@ -87,27 +154,28 @@ def _fingerprint_index(space: SigmaSpace):
 
     Returns (reps, keys, sizes, position): reps is a C-contiguous
     (2n, u) array whose column k is representative k, since window checks
-    reduce down columns; keys holds two rows of reps: the column of most
-    distinct values, by which reps is sorted ascending, then the column
-    that splits the most neighbours within the tolerance in that order,
-    which prefilters window candidates; sizes[k] counts the vectors with
-    representative k; position[v] is the representative of vector v. A
-    row that overflowed agrees with nothing: it has no representative and
-    is given a position of its own, u, u + 1, ... in vector order.
+    reduce down columns; keys holds two rows of reps: the sort key, by
+    which reps is sorted ascending, then the column that splits the most
+    neighbours within the tolerance in that order, which prefilters
+    window candidates; sizes[k] counts the vectors with representative
+    k; position[v] is the representative of vector v. The sort key is
+    chosen by _sort_key on a sample of the distinct rows; the keys
+    change only the speed of a window join, never its pairs. A row that
+    overflowed agrees with nothing: it has no representative and is
+    given a position of its own, u, u + 1, ... in vector order.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         rows = _probe_rows(space)
         finite = np.isfinite(rows).all(axis=1)
-        distinct, inverse, sizes = _unique_rows(rows[finite])
-    columns = np.ascontiguousarray(distinct.T)
-    spread = np.count_nonzero(np.diff(np.sort(columns, axis=1), axis=1), axis=1)
-    key = int(np.argmax(spread))
-    order = np.argsort(columns[key], kind="stable")
+        # rows[finite] is a copy; most spaces have no overflowed row.
+        distinct, inverse, sizes = _unique_rows(rows if finite.all() else rows[finite])
+    key = _sort_key(distinct)
+    order = np.argsort(distinct[:, key], kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     position = np.cumsum(~finite) - 1 + len(order)
     position[finite] = rank[inverse]
-    reps = columns.take(order, axis=1)
+    reps = distinct.T.take(order, axis=1)
     # Neighbours in key order that the key cannot tell apart share a
     # window: the second key is the column that tells most of them apart.
     eps = space.tolerance

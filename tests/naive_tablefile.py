@@ -16,6 +16,7 @@ from tgeom.errors import (
     DuplicateEntry,
     DuplicateLabel,
     EmptySpace,
+    InvalidTolerance,
     MissingEntry,
     TableParseError,
     UnknownPoint,
@@ -46,7 +47,9 @@ def build_finite_table(
     simply list both directions). Diagonal entries are optional and
     default to zero; a supplied diagonal beyond the tolerance is
     rejected. Repeating an ordered pair is an error unless the values
-    agree within the tolerance, in which case the first one wins.
+    agree within the tolerance, in which case the first one wins. A
+    tolerance that is not a finite real >= 0 is rejected before any
+    entry is read.
     """
     label_list = [str(p) for p in labels]
     dup = _first_duplicate(label_list)
@@ -54,6 +57,8 @@ def build_finite_table(
         raise DuplicateLabel(f"point label '{dup}' occurs more than once")
     if not label_list:
         raise EmptySpace("a space needs at least one point")
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidTolerance("tolerance must be a non-negative finite real")
     idx = {label: i for i, label in enumerate(label_list)}
     n = len(label_list)
 

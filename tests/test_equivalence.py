@@ -692,6 +692,144 @@ def test_negative_zero_reaches_the_fingerprint_rows():
     _assert_same_partition_as_numpy(rows)
 
 
+def test_reversed_vectors_and_negated_rows_keep_their_own_groups():
+    # The row of a reversed vector is the exact negation of the forward
+    # row. A weighted sum of raw words hashes a row with an even number
+    # of nonzero floats like its negation; the mixed words must not, so
+    # that such rows stay apart without a collision to resolve.
+    row_hashes, hashed = equivalence._row_hashes, []
+
+    def kept(words):
+        hashed.append(row_hashes(words))
+        return hashed[-1]
+
+    rng = np.random.default_rng(94)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_row_hashes", kept)
+        for space in (make_table(rng, 5), make_table(rng, 6, symmetric=False)):
+            n = len(space)
+            rows = _probe_rows(space)
+            reverse = np.arange(n * n).reshape(n, n).T.ravel()
+            assert np.array_equal(rows[reverse], -rows)
+            negated = np.stack((rows, -rows), axis=1).reshape(-1, 2 * n)
+            for case in (rows, negated, negated[rng.permutation(len(negated))]):
+                _assert_same_partition_as_numpy(case)
+                distinct = len(_unique_rows(case)[0])
+                assert len(np.unique(hashed[-1])) == distinct  # no collision
+
+
+def test_rows_one_ulp_or_a_zero_sign_apart():
+    # One ulp apart in one word: distinct rows. Apart only in the sign
+    # of a zero: one row, which np.unique(axis=0) groups too.
+    rng = np.random.default_rng(95)
+    base = rng.uniform(-4.0, 4.0, size=(6, 8))
+    base[:, [0, 3]] = 0.0
+    up, down = base.copy(), base.copy()
+    up[:, 5] = np.nextafter(up[:, 5], np.inf)
+    down[:, 5] = np.nextafter(down[:, 5], -np.inf)
+    signed = base.copy()
+    signed[:, [0, 3]] = -0.0
+    for rows in (
+        np.concatenate((base, up, down)),
+        np.concatenate((base, signed, base)),
+        np.concatenate((signed, up, base, down, signed)),
+    ):
+        _assert_same_partition_as_numpy(rows)
+        _assert_same_partition_as_numpy(rows[rng.permutation(len(rows))])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_unique_rows_of_up_to_64_rows_matches_numpy_unique(data):
+    # Rows drawn from a few base rows, some negated, some with one word
+    # nudged by an ulp or a zero's sign flipped: many repeats and near
+    # repeats.
+    width = 2 * data.draw(st.integers(1, 8))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, -3.75e8]),
+        st.floats(-1e6, 1e6),
+    )
+    bases = data.draw(
+        st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=5)
+    )
+    rows = []
+    for _ in range(data.draw(st.integers(0, 64))):
+        row = np.array(data.draw(st.sampled_from(bases)))
+        edit = data.draw(st.sampled_from(["same", "negate", "ulp", "zero"]))
+        column = data.draw(st.integers(0, width - 1))
+        if edit == "negate":
+            row = -row
+        elif edit == "ulp":
+            row[column] = np.nextafter(row[column], np.inf)
+        elif edit == "zero" and row[column] == 0.0:
+            row[column] = -row[column]
+        rows.append(row)
+    _assert_same_partition_as_numpy(np.array(rows).reshape(-1, width))
+
+
+@pytest.mark.parametrize(
+    "forced",
+    [
+        lambda words: np.zeros(len(words), np.uint64),
+        lambda words: words[:, -1].copy(),
+    ],
+    ids=["one-group", "last-word"],
+)
+def test_hash_collisions_are_split_bytewise(forced):
+    # A forced hash puts unequal rows into one group: the bytewise proof
+    # must find them and the collision rule split them as np.unique does.
+    calls = []
+
+    def counted(words):
+        calls.append(len(words))
+        return forced(words)
+
+    rng = np.random.default_rng(96)
+    inputs = [
+        _probe_rows(make_table(rng, 4, symmetric=False)),
+        _probe_rows(build_grid_space(GridSpec(dim=2, size=3))),
+        rng.integers(-2, 3, size=(64, 6)).astype(float),
+        np.where(rng.random((40, 4)) < 0.5, 0.0, -0.0),
+    ]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_row_hashes", counted)
+        for rows in inputs:
+            _assert_same_partition_as_numpy(rows)
+        distinct = [len(_unique_rows(rows)[0]) for rows in inputs]
+    # Every call hashed through the forced hash, and unequal rows shared
+    # it in all inputs but the signed zeros, which are one row.
+    assert len(calls) == 2 * len(inputs)
+    assert min(distinct[:-1]) > 1 and distinct[-1] == 1
+
+
+def _patched_results(space, key):
+    coeffs = [Coefficients(1.0, 1.0), Coefficients(2.0, -1.0)]
+    with pytest.MonkeyPatch.context() as patch:
+        if key is not None:
+            patch.setattr(equivalence, "_sort_key", lambda distinct: key)
+        partition = equivalence_classes(space)
+        survey = survey_linearity(space, coeffs)
+    return partition.classes, partition.method, partition.coherent, survey
+
+
+def test_results_do_not_depend_on_the_sort_key():
+    # Every column as the sort key, even an all-zero one, gives the same
+    # partition and survey: the key changes only the speed of a join.
+    rng = np.random.default_rng(97)
+    spaces = [
+        build_grid_space(GridSpec(dim=2, size=3)),
+        perturbed_grid(np.random.default_rng(93), 3, 0.25),
+        make_table(rng, 5, symmetric=False),
+    ]
+    for space in spaces:
+        expected = _patched_results(space, None)
+        for key in range(2 * len(space)):
+            assert _patched_results(space, key) == expected, key
+    # The perturbed grid takes the closure path, the random table not.
+    assert _patched_results(spaces[1], None)[1] == "union-find"
+    assert _patched_results(spaces[2], None)[1] == "fingerprint-buckets"
+
+
 def _class_digest(partition):
     return hashlib.sha256(repr(partition.classes).encode()).hexdigest()[:16]
 

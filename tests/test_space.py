@@ -295,7 +295,7 @@ def test_build_finite_table_matches_naive_reference(data):
             del entries[min(position, len(entries) - 1)]
         else:
             entries.insert(position, data.draw(extra))
-    tolerance = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    tolerance = data.draw(st.sampled_from([0.0, 1e-9, 0.5, -1.0, math.nan, math.inf]))
     assert _build_outcome(
         build_finite_table, labels, entries, tolerance
     ) == _build_outcome(naive.build_finite_table, labels, entries, tolerance)
