@@ -7,8 +7,8 @@ d[Q1] - d[Q0] in the first slot, d = σ(P0, ·) - σ(P1, ·), and e[Q0] - e[Q1]
 in the second, e = σ(·, P1) - σ(·, P0). So v ~ w exactly when each half of
 the difference of their fingerprint rows (d | e) spans at most the
 tolerance: the range rule behind every decision here and in
-:mod:`tgeom.linear`. It can differ from the oracle's probe-by-probe
-four-term test only within a few ulps of the tolerance.
+:mod:`tgeom.linear`. The oracle's probe-by-probe four-term test differs
+from it only where the rounding of sums, a few ulps of max|σ|, reaches ε.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def _within(x, eps: float):
-    """|x| <= eps elementwise; NaN compares false, so overflow never agrees."""
+    """|x| <= eps elementwise; NaN compares false, so it never agrees."""
     return np.abs(x) <= eps
 
 
@@ -57,7 +57,7 @@ def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
     point k % n, written by broadcasting into one array: the same floats
     as the gather. That array is C-contiguous (2n, n²), one vector per
     column, and the rows are its transpose, since the index reduces down
-    columns. Callers silence overflow with np.errstate.
+    columns.
     """
     m = space.matrix
     if origins is not None:
@@ -150,7 +150,7 @@ def _sort_key(distinct: np.ndarray) -> int:
 
 
 def _fingerprint_index(space: SigmaSpace):
-    """The distinct finite fingerprint rows, sorted on one key column.
+    """The distinct fingerprint rows, sorted on one key column.
 
     Returns (reps, keys, sizes, position): reps is a C-contiguous
     (2n, u) array whose column k is representative k, since window checks
@@ -160,21 +160,14 @@ def _fingerprint_index(space: SigmaSpace):
     window candidates; sizes[k] counts the vectors with representative
     k; position[v] is the representative of vector v. The sort key is
     chosen by _sort_key on a sample of the distinct rows; the keys
-    change only the speed of a window join, never its pairs. A row that
-    overflowed agrees with nothing: it has no representative and is
-    given a position of its own, u, u + 1, ... in vector order.
+    change only the speed of a window join, never its pairs.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows = _probe_rows(space)
-        finite = np.isfinite(rows).all(axis=1)
-        # rows[finite] is a copy; most spaces have no overflowed row.
-        distinct, inverse, sizes = _unique_rows(rows if finite.all() else rows[finite])
+    distinct, inverse, sizes = _unique_rows(_probe_rows(space))
     key = _sort_key(distinct)
     order = np.argsort(distinct[:, key], kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    position = np.cumsum(~finite) - 1 + len(order)
-    position[finite] = rank[inverse]
+    position = rank[inverse]
     reps = distinct.T.take(order, axis=1)
     # Neighbours in key order that the key cannot tell apart share a
     # window: the second key is the column that tells most of them apart.
@@ -207,9 +200,11 @@ def _window_matches(candidates, keys, queries, targets, eps: float, first=0):
     made in blocks of about _CHUNK and rows checked in blocks of about
     _CHUNK floats, so no (targets x candidates x 2n) tensor is built.
     """
-    radius = np.fmax(eps + 4 * np.spacing(np.abs(queries[0]) + eps), eps)
-    lo = np.maximum(np.searchsorted(keys[0], queries[0] - radius, "left"), first)
-    counts = np.searchsorted(keys[0], queries[0] + radius, "right") - lo
+    with np.errstate(over="ignore"):  # eps near the float maximum
+        radius = np.fmax(eps + 4 * np.spacing(np.abs(queries[0]) + eps), eps)
+        low, high = queries[0] - radius, queries[0] + radius
+    lo = np.maximum(np.searchsorted(keys[0], low, "left"), first)
+    counts = np.searchsorted(keys[0], high, "right") - lo
     base = np.concatenate(([0], np.cumsum(counts)))
     step = max(1, _CHUNK // candidates.shape[0])
     found_t, found_c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
@@ -280,25 +275,24 @@ def equivalent(space: SigmaSpace, v: Vector, w: Vector) -> EquivalenceWitness:
     n = len(space)
     origins = [space.index(v.origin), space.index(w.origin)]
     ends = [space.index(v.end), space.index(w.end)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        row_v, row_w = _probe_rows(space, origins, ends)
-        delta = row_v - row_w
-        if _rows_agree(delta, eps):
-            return EquivalenceWitness(equivalent=True)
-        # Blocks of probe origins of about _CHUNK floats, in scan order:
-        # the first failing probe usually lies in the first block.
-        step = max(1, _CHUNK // n)
-        for half, start in itertools.product((0, 1), range(0, n, step)):
-            block = range(start, min(start + step, n))
-            left, right = (_product_grid(space, u, half, block) for u in (v, w))
-            agree = _within(left - right, eps)
-            if not agree.all():
-                row, q1 = divmod(int(np.argmin(agree)), n)  # first failing probe
-                break
-        else:  # the roundings straddle eps: report the widest four-term gap
-            half, start = int(bool(_within(np.ptp(delta[:n]), eps))), 0
-            left, right = (_product_grid(space, u, half, range(n)) for u in (v, w))
-            row, q1 = divmod(int(np.argmax(np.abs(left - right))), n)
+    row_v, row_w = _probe_rows(space, origins, ends)
+    delta = row_v - row_w
+    if _rows_agree(delta, eps):
+        return EquivalenceWitness(equivalent=True)
+    # Blocks of probe origins of about _CHUNK floats, in scan order:
+    # the first failing probe usually lies in the first block.
+    step = max(1, _CHUNK // n)
+    for half, start in itertools.product((0, 1), range(0, n, step)):
+        block = range(start, min(start + step, n))
+        left, right = (_product_grid(space, u, half, block) for u in (v, w))
+        agree = _within(left - right, eps)
+        if not agree.all():
+            row, q1 = divmod(int(np.argmin(agree)), n)  # first failing probe
+            break
+    else:  # the roundings straddle eps: report the widest four-term gap
+        half, start = int(bool(_within(np.ptp(delta[:n]), eps))), 0
+        left, right = (_product_grid(space, u, half, range(n)) for u in (v, w))
+        row, q1 = divmod(int(np.argmax(np.abs(left - right))), n)
     return EquivalenceWitness(
         equivalent=False,
         counterexample=Counterexample(
@@ -360,8 +354,7 @@ def _components(count: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     """Partition all vectors of the space into equivalence classes.
 
-    Vectors with identical fingerprint rows form buckets; a row that
-    overflowed agrees with nothing and is a bucket of its own. Agreeing
+    Vectors with identical fingerprint rows form buckets. Agreeing
     pairs of buckets are found by a window lookup on two key columns,
     each pair once, and merged by an array closure (_components). Output
     order is deterministic: vectors inside a class sorted
@@ -369,19 +362,18 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     """
     n = len(space)
     reps, keys, _, position = _fingerprint_index(space)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # Each window starts after its own query, so a pair (a, b) of
-        # representatives is checked once, with a < b.
-        a, b = _window_matches(
-            reps,
-            keys,
-            keys,
-            lambda t: reps.take(t, axis=1),
-            space.tolerance,
-            first=np.arange(1, reps.shape[1] + 1),
-        )
+    # Each window starts after its own query, so a pair (a, b) of
+    # representatives is checked once, with a < b.
+    a, b = _window_matches(
+        reps,
+        keys,
+        keys,
+        lambda t: reps.take(t, axis=1),
+        space.tolerance,
+        first=np.arange(1, reps.shape[1] + 1),
+    )
 
-    roots = _components(int(position.max()) + 1, a, b)
+    roots = _components(reps.shape[1], a, b)
     # Coherent when each merged class is a clique of agreeing buckets.
     sizes = np.bincount(roots, minlength=len(roots))
     pairs = np.bincount(roots[a], minlength=len(roots))

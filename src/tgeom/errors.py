@@ -35,7 +35,7 @@ class NonzeroDiagonal(TgeomError):
 
 
 class NonFiniteValue(TgeomError):
-    """A world-function value or coordinate is NaN or infinite."""
+    """A value or coordinate is NaN or infinite, or a σ value lies beyond ±SIGMA_BOUND."""
 
 
 class DimensionMismatch(TgeomError):

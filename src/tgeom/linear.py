@@ -263,7 +263,7 @@ def survey_linearity(
     applies. Vectors with identical fingerprint rows are collapsed, which
     leaves per-pair semantics intact, and the targets of all pairs of
     representatives are looked up at once in a window on two key
-    columns. A row that overflowed matches nothing. More than limit
+    columns. A target that overflows matches nothing. More than limit
     points are refused; limit=None surveys any size.
     """
     enforce_limit(space, limit, "survey")

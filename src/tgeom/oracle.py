@@ -4,7 +4,8 @@ Everything here recomputes results with plain nested loops, sharing
 nothing with the main modules beyond reading the σ table, so a bug in
 the fast paths cannot hide in a cross-check. Single-threaded and bounded
 to tiny instances on purpose. A comparison holds only when the gap is
-at most ε, so a NaN gap (inf - inf after overflow) is a disagreement.
+at most ε, so a NaN gap (a target overflowed by a coefficient far
+outside ±1) is a disagreement.
 """
 
 from __future__ import annotations

@@ -39,6 +39,13 @@ PointId = str
 
 DEFAULT_TOLERANCE = 1e-9
 
+# The largest |σ| a space holds. With M = max|σ|, a fingerprint entry or
+# four-term product is at most 4·M, a guaranteed-case target (|α|, |β| <=
+# 1) at most 8·M, and no difference or span the library forms exceeds
+# 24·M; rounding is monotone, so no computed sum does either (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, ch. 2).
+SIGMA_BOUND = float(np.finfo(float).max) / 32
+
 
 def _is_token(label: str) -> bool:
     """True when a table file carries the label back unchanged.
@@ -117,8 +124,9 @@ def matrix_problems(
     """Every reason the square matrix m is no valid table, in report order.
 
     First each diagonal value not within the tolerance of zero (NaN
-    included), then each non-finite entry in row-major order. The
-    constructor raises the first; ``tgeom check`` prints them all.
+    included), then each entry that is not finite or lies beyond
+    ±SIGMA_BOUND, in row-major order. The constructor raises the first;
+    ``tgeom check`` prints them all.
     """
     problems: list[NonzeroDiagonal | NonFiniteValue] = []
     for k in np.flatnonzero(~(np.abs(np.diagonal(m)) <= tolerance)):
@@ -128,10 +136,10 @@ def matrix_problems(
                 f"{float(m[k, k])!r}, beyond tolerance {tolerance!r}"
             )
         )
-    for i, j in np.argwhere(~np.isfinite(m)):
-        problems.append(
-            NonFiniteValue(f"value for ({labels[i]}, {labels[j]}) is not finite")
-        )
+    for i, j in np.argwhere(~(np.abs(m) <= SIGMA_BOUND)):
+        value = float(m[i, j])
+        why = f"{value!r}, beyond ±{SIGMA_BOUND!r}" if math.isfinite(value) else "not finite"
+        problems.append(NonFiniteValue(f"value for ({labels[i]}, {labels[j]}) is {why}"))
     return problems
 
 
@@ -146,7 +154,7 @@ class SigmaSpace:
     Instances are normally built through :func:`build_finite_table`,
     :func:`build_coordinate_space` or :func:`build_grid_space`; direct
     construction takes a ready dense matrix. Validation (zero diagonal,
-    finiteness, unique whitespace-free labels, a finite tolerance >= 0)
+    |σ| <= SIGMA_BOUND, unique whitespace-free labels, a finite tolerance >= 0)
     always runs here, so every live space satisfies the invariants and
     survives a write/read cycle through a table file.
     """
@@ -168,7 +176,8 @@ class SigmaSpace:
         n = len(labels)
         if m.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got shape {m.shape}")
-        if not (np.isfinite(m).all() and (np.abs(np.diagonal(m)) <= tolerance).all()):
+        in_bound = -SIGMA_BOUND <= m.min() and m.max() <= SIGMA_BOUND  # False on NaN
+        if not (in_bound and (np.abs(np.diagonal(m)) <= tolerance).all()):
             raise matrix_problems(labels, m, tolerance)[0]
         m.setflags(write=False)
 
@@ -341,8 +350,8 @@ def build_coordinate_space(
     """Build a coordinate-backed space; σ is half the squared distance.
 
     Every entry equals :func:`euclidean_sigma` of its two points bit for
-    bit; coordinates far enough apart to overflow give an infinite σ,
-    which the constructor rejects as non-finite.
+    bit; coordinates far enough apart give a σ beyond SIGMA_BOUND, or an
+    infinite one, which the constructor rejects with NonFiniteValue.
     """
     labels = [str(k) for k in coords]
     if not labels:
@@ -430,8 +439,8 @@ def perturb_table(
     """New table-backed space with per-pair offsets added to σ.
 
     Offsets on the same pair accumulate. The result is re-validated, so
-    a perturbation pushing a diagonal value beyond tolerance or producing
-    a non-finite value is rejected.
+    a perturbation pushing a diagonal value beyond tolerance or a value
+    beyond ±SIGMA_BOUND (NaN and ±inf included) is rejected.
     """
     m = np.array(space.matrix, dtype=float)
     for p, q, delta in deltas:

@@ -16,9 +16,9 @@ is mirrored, while asymmetric input simply lists both directions.
 Repeating an ordered pair with values that disagree beyond the
 tolerance is a parse error, as is any unknown directive.
 
-Parsing is split from validation on purpose: a file whose diagonal is
-nonzero or whose values are not finite parses fine (the checker reports
-those as violations), but only a clean table builds a space.
+Parsing is split from validation on purpose: a file with a nonzero
+diagonal or a value past ±SIGMA_BOUND (or NaN) parses fine (the checker
+reports those as violations), but only a clean table builds a space.
 """
 
 from __future__ import annotations

@@ -54,8 +54,7 @@ def scalar_product(space: SigmaSpace, v: Vector, w: Vector) -> float:
     w = Vector(*w)
     i0, i1 = space.index(v.origin), space.index(v.end)
     j0, j1 = space.index(w.origin), space.index(w.end)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(_four_term(space.matrix, i0, i1, j0, j1))
+    return float(_four_term(space.matrix, i0, i1, j0, j1))
 
 
 def _four_term(m: np.ndarray, p0, p1, q0, q1):
@@ -85,9 +84,9 @@ class IdentityReport:
 
     checked counts every tuple examined across all identities;
     violations lists each tuple whose |lhs - rhs| is not within the space
-    tolerance (an overflowed inf - inf gap included), sorted by identity
-    name then point labels; skipped names identities that were not
-    applicable (argument exchange on an asymmetric space).
+    tolerance, sorted by identity name then point labels; skipped names
+    identities that were not applicable (argument exchange on an
+    asymmetric space).
     """
 
     checked: int
@@ -123,34 +122,33 @@ def verify_identities(space: SigmaSpace, *, limit: int | None = IDENTITY_CHECK_L
     def collect(name: str, lhs: np.ndarray, rhs: np.ndarray) -> None:
         # Chain right-hand sides keep a size-1 axis: index full-shape views.
         lhs, rhs = np.broadcast_arrays(lhs, rhs)
-        mask = ~(np.abs(lhs - rhs) <= eps)  # NaN (inf - inf) is a violation
+        mask = np.abs(lhs - rhs) > eps
         for idx in map(tuple, np.argwhere(mask)):
             key = tuple(labels[k] for k in idx)
             violations.append(IdentityViolation(name, key, float(lhs[idx]), float(rhs[idx])))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = np.arange(n)
-        s = _four_term(m, *np.ix_(k, k, k, k))  # s[p0,p1,q0,q1]
-        r = s.transpose(2, 3, 0, 1)  # r[p0,p1,q0,q1] = s[q0,q1,p0,p1]
-        # Reversing the second argument negates the product.
-        collect(IDENTITY_SECOND_ARG_REVERSAL, s, -s.transpose(0, 1, 3, 2))
-        # Reversing the first argument negates the product.
-        collect(IDENTITY_FIRST_ARG_REVERSAL, s.transpose(1, 0, 2, 3), -s)
-        # Chained vectors add in the first slot: (P0P1.Q) + (P1P2.Q) = (P0P2.Q).
-        collect(
-            IDENTITY_FIRST_SLOT_CHAIN,
-            s[:, :, None, :, :] + s[None, :, :, :, :],
-            s[:, None, :, :, :],
-        )
-        # ... and in the second slot: (Q.P0P1) + (Q.P1P2) = (Q.P0P2).
-        collect(
-            IDENTITY_SECOND_SLOT_CHAIN,
-            r[:, :, None, :, :] + r[None, :, :, :, :],
-            r[:, None, :, :, :],
-        )
-        if symmetric:
-            # Exchanging the two arguments preserves the product.
-            collect(IDENTITY_EXCHANGE, s, r)
+    k = np.arange(n)
+    s = _four_term(m, *np.ix_(k, k, k, k))  # s[p0,p1,q0,q1]
+    r = s.transpose(2, 3, 0, 1)  # r[p0,p1,q0,q1] = s[q0,q1,p0,p1]
+    # Reversing the second argument negates the product.
+    collect(IDENTITY_SECOND_ARG_REVERSAL, s, -s.transpose(0, 1, 3, 2))
+    # Reversing the first argument negates the product.
+    collect(IDENTITY_FIRST_ARG_REVERSAL, s.transpose(1, 0, 2, 3), -s)
+    # Chained vectors add in the first slot: (P0P1.Q) + (P1P2.Q) = (P0P2.Q).
+    collect(
+        IDENTITY_FIRST_SLOT_CHAIN,
+        s[:, :, None, :, :] + s[None, :, :, :, :],
+        s[:, None, :, :, :],
+    )
+    # ... and in the second slot: (Q.P0P1) + (Q.P1P2) = (Q.P0P2).
+    collect(
+        IDENTITY_SECOND_SLOT_CHAIN,
+        r[:, :, None, :, :] + r[None, :, :, :, :],
+        r[:, None, :, :, :],
+    )
+    if symmetric:
+        # Exchanging the two arguments preserves the product.
+        collect(IDENTITY_EXCHANGE, s, r)
 
     checked = 2 * n**4 + 2 * n**5 + (n**4 if symmetric else 0)
     skipped = () if symmetric else (IDENTITY_EXCHANGE,)

@@ -13,6 +13,7 @@ import tgeom
 from tgeom import cli
 from tgeom.cli import main
 from tgeom.errors import NonFiniteValue, NonzeroDiagonal
+from tgeom.space import SIGMA_BOUND
 from tgeom.tablefile import load_space
 
 
@@ -81,28 +82,54 @@ def test_check_prints_what_every_command_raises(tmp_path, capsys, body, error):
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 
-OVERFLOWING = (
+BEYOND_BOUND = (
     "points: A B C\nsigma: A B 1.5e308\nsigma: A C -1.5e308\nsigma: B C 1.5e308\n"
 )
+AT_BOUND = BEYOND_BOUND.replace("1.5e308", repr(2.0**1018))
 
 
-def test_overflowing_table_reports_violations(tmp_path, capsys):
-    # Valid values whose four-term sums overflow: check and identities
-    # report violations (a chain violation whose middle point is not the
-    # first one among them), dot prints the overflowed product; no
-    # traceback, and the RuntimeWarning filter fails any leaked warning.
+def test_table_beyond_the_bound_is_rejected(tmp_path, capsys):
+    # Finite values whose four-term sums would overflow: check lists each
+    # of the six and exits 2, and every command that builds the space
+    # exits 1 with the first of them.
     path = tmp_path / "over.sigma"
-    path.write_text(OVERFLOWING, encoding="utf-8")
+    path.write_text(BEYOND_BOUND, encoding="utf-8")
     assert main(["check", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert "identities: 450 violation(s), 729 tuples checked\n" in out and not err
-    assert main(["identities", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert "violations: 450\n" in out and not err
-    assert "  first-slot-chain at (A, B, A, A, B): lhs=nan rhs=0.0\n" in out
-    assert "  exchange-symmetry at (A, A, B, B): lhs=inf rhs=inf\n" in out
+    problems = [line.strip() for line in out.splitlines() if "beyond ±" in line]
+    assert "diagonal/finiteness: 6 violation(s)\n" in out and not err
+    assert len(problems) == 6
+    assert problems[0] == f"value for (A, B) is 1.5e+308, beyond ±{SIGMA_BOUND!r}"
+    for command in (
+        ["identities"],
+        ["dot", "A", "B", "B", "C"],
+        ["combine", "0", "0", "A", "B", "B", "C"],
+        ["survey", "--coeffs", "0,0"],
+    ):
+        assert main([command[0], str(path), *command[1:]]) == 1
+        assert capsys.readouterr() == ("", f"error: {problems[0]}\n")
+
+
+def test_table_at_the_bound_keeps_its_guaranteed_cases(tmp_path, capsys):
+    # |σ| = 2**1018, within the bound: every sum is exact, so every
+    # guaranteed pair is solvable; the RuntimeWarning filter fails any
+    # leaked warning.
+    path = tmp_path / "bound.sigma"
+    path.write_text(AT_BOUND, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert "identities: 0 violation(s), 729 tuples checked\n" in capsys.readouterr().out
+    assert main(["identities", str(path)]) == 0
+    assert "violations: 0\n" in capsys.readouterr().out
+    assert main(["survey", str(path), "--coeffs", "0,0", "--coeffs", "1,0"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "0.0,0.0,81,81,81,0",
+        "1.0,0.0,81,81,81,0",
+    ]
+    assert main(["combine", str(path), "0", "0", "A", "B", "B", "C"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("guaranteed case: zero\nsolutions: 3\n")
     assert main(["dot", str(path), "A", "B", "B", "C"]) == 0
-    assert capsys.readouterr() == ("-inf\n", "")
+    assert capsys.readouterr() == (f"{-3 * 2.0**1018!r}\n", "")
 
 
 def test_check_parse_error_reports_line(tmp_path, capsys):

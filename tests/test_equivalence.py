@@ -40,7 +40,7 @@ from tgeom.equivalence import (
     _unique_rows,
     _window_matches,
 )
-from tgeom.oracle import brute_force_equivalent
+from tgeom.oracle import brute_force_equivalent, brute_force_solve
 from tgeom.vectors import _four_term
 
 from conftest import make_table, perturbed_grid
@@ -169,10 +169,10 @@ def test_fingerprint_agreement_matches_direct_path():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_broadcast_probe_rows_match_the_gather():
     # All n² rows at once are written by broadcasting; rows for listed
-    # vectors are gathered. Both must give the same floats, -0.0, inf and
-    # NaN included.
+    # vectors are gathered. Both must give the same floats, -0.0 included,
+    # and on a table at |σ| = 2**1018 entries reach 3·|σ| exactly.
     rng = np.random.default_rng(28)
-    big = 1.5e308
+    big = 2.0**1018
     spaces = [
         make_table(rng, 7),
         make_table(rng, 6, symmetric=False),
@@ -186,14 +186,12 @@ def test_broadcast_probe_rows_match_the_gather():
     ]
     for space in spaces:
         n = len(space)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows = _probe_rows(space)
-            gathered = _probe_rows(space, *np.divmod(np.arange(n * n), n))
+        rows = _probe_rows(space)
+        gathered = _probe_rows(space, *np.divmod(np.arange(n * n), n))
         assert rows.shape == gathered.shape == (n * n, 2 * n)
         assert rows.tobytes() == gathered.tobytes()
-        for where in (np.isnan, np.isinf, np.signbit):
-            assert np.array_equal(where(rows), where(gathered))
-    assert np.isnan(rows).any() and np.isinf(rows).any()  # the 1.5e308 table
+        assert np.array_equal(np.signbit(rows), np.signbit(gathered))
+    assert np.abs(rows).max() == 3 * big  # the table at the bound
 
 
 def test_witness_present_iff_not_equivalent():
@@ -414,26 +412,26 @@ def test_one_sided_self_join_finds_each_pair_once(monkeypatch, chunk):
 def test_two_key_join_of_survey_targets_equals_all_pairs(monkeypatch, chunk):
     # The second key column drops only pairs that the range rule rejects,
     # also for targets that are not candidates, some of which overflow
-    # to inf and nan on the 1.5e308 table: the join finds every pair that
-    # a check of all pairs finds.
+    # to inf and nan at coefficients of 1e308: the join finds every pair
+    # that a check of all pairs finds.
     if chunk is not None:
         monkeypatch.setattr(equivalence, "_CHUNK", chunk)
-    big = 1.5e308
-    over = build_finite_table(
+    big = 2.0**1018
+    at_bound = build_finite_table(
         ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
     )
     rng = np.random.default_rng(30)
     overflowed = False
-    for space in [over] + [perturbed_grid(rng, 3, scale) for scale in (0.125, 1.0)]:
+    for space in [at_bound] + [perturbed_grid(rng, 3, scale) for scale in (0.125, 1.0)]:
         reps, keys, _, _ = _fingerprint_index(space)
         eps = space.tolerance
         # Which rows of reps the two keys are, to read them off the targets.
         columns = [int(np.flatnonzero((reps == key).all(axis=1))[0]) for key in keys]
         with np.errstate(over="ignore", invalid="ignore"):
-            # Rows, overflowed ones too, combined as the survey combines
-            # representatives: each of the first nine with every row.
+            # Rows combined as the survey combines representatives: each
+            # of the first nine with every row.
             rows = _probe_rows(space).T
-            for a, b in ((1.0, 1.0), (2.0, -1.0)):
+            for a, b in ((1.0, 1.0), (2.0, -1.0), (1e308, 1e308)):
                 every = (a * rows[:, :9, None] + b * rows[:, None, :]).reshape(len(rows), -1)
                 t, c = _window_matches(
                     reps, keys, every[columns], lambda t: every.take(t, axis=1), eps
@@ -454,8 +452,8 @@ def test_epsilon_boundary_stress_matches_oracle(size):
     # Only vectors with the same grid displacement come within ε of each
     # other; all their pairs are checked, and the class partition (a
     # closure over every pair) is compared whole. The fast paths decide
-    # by the range rule and the oracle probe by probe, which can differ
-    # only within a few ulps of ε; these seeds hit no such pair.
+    # by the range rule and the oracle probe by probe, which differ only
+    # where the rounding of sums reaches ε; these seeds hit no such pair.
     rng = np.random.default_rng(26 + size)
     outcomes = set()
     for scale in (0.125, 0.25, 0.5):
@@ -477,52 +475,105 @@ def test_epsilon_boundary_stress_matches_oracle(size):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_table_keeps_null_class_and_stays_quiet():
-    # Valid finite values whose sums overflow: a null vector's row is
-    # exactly zero, so the null vectors still form one class; rows that
-    # overflow agree with nothing, and no numpy warning escapes.
-    big = 1.5e308
+def test_table_at_the_bound_matches_the_oracle():
+    # |σ| = 2**1018 lies within the bound. Every four-term sum, row entry
+    # and target is a small multiple of it, so exact: the fast paths and
+    # the oracle agree on every pair, null vectors included, every
+    # guaranteed pair is solvable, and no numpy warning escapes.
+    big = 2.0**1018
     space = build_finite_table(
         ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
     )
+    vectors = all_vectors(space)
+    pairs = list(itertools.product(vectors, repeat=2))
+    for v, w in pairs:
+        assert equivalent(space, v, w).equivalent == brute_force_equivalent(space, v, w)
     partition = equivalence_classes(space)
     null = tuple(Vector(p, p) for p in space.points)
     assert partition.class_of(Vector("A", "A")) == null
-    assert partition.coherent
-    assert equivalent(space, Vector("A", "A"), Vector("B", "B")).equivalent
+    assert partition.coherent and partition.classes == _oracle_partition(space)
     witness = equivalent(space, Vector("A", "B"), Vector("B", "C"))
     assert not witness.equivalent and witness.counterexample is not None
-    c = Coefficients(1.0, 1.0)
-    solve_combination(space, c, Vector("A", "B"), Vector("B", "C"))
-    (row,) = survey_linearity(space, [c]).rows
-    assert row.solvable == len(null) ** 2  # only null pairs have finite targets
 
-    # Where two vectors' four-term sums meet as inf - inf, the oracle
-    # counts the NaN as disagreement, as every fast path does. Null
-    # vectors differ on purpose: their four-term sums overflow, but
-    # their fingerprint rows are exactly zero.
-    m = space.matrix.tolist()
+    coeffs = [Coefficients(0.0, 0.0), Coefficients(1.0, 0.0), Coefficients(1.0, 1.0)]
+    rows = survey_linearity(space, coeffs).rows
+    for c, row in zip(coeffs, rows):
+        solvable = 0
+        for v, w in pairs:
+            expected = brute_force_solve(space, c, v, w)
+            assert list(solve_combination(space, c, v, w).solutions) == expected
+            solvable += bool(expected)
+        assert row.solvable == solvable
+    assert [(row.solvable, row.guaranteed) for row in rows[:2]] == [(81, 81)] * 2
 
-    probes = list(itertools.product(range(len(m)), repeat=2))
 
-    def four_term_sums(v):
-        i0, i1 = space.index(v.origin), space.index(v.end)
-        first = [((m[i0][q1] + m[i1][q0]) - m[i0][q0]) - m[i1][q1] for q0, q1 in probes]
-        second = [((m[q0][i1] + m[q1][i0]) - m[q0][i0]) - m[q1][i1] for q0, q1 in probes]
-        return first + second
+_EPS = 2.0**-30
+_BIG = 2.0**1017
 
-    agreeing = 0
-    for v, w in itertools.product(all_vectors(space), repeat=2):
-        gaps = map(float.__sub__, four_term_sums(v), four_term_sums(w))
-        if not any(math.isnan(gap) for gap in gaps):
-            continue
-        fast = equivalent(space, v, w).equivalent
-        if v in null and w in null:
-            assert fast and not brute_force_equivalent(space, v, w)
+
+@st.composite
+def exact_spaces(draw):
+    """Tables of at most 5 points on which every sum either rule forms is exact.
+
+    Either small integers (or the half-integers of points on a line,
+    where many vectors agree) plus multiples of ε = 2**-30, so that
+    differences of exactly ε are common; or the values 0, ±2**1017 and
+    ±2**1018 near the bound, with a tolerance of 0 or 2**1017. Both
+    draw dyadic values whose four-term sums, rows and targets at the
+    drawn coefficients need far fewer than 53 bits.
+    """
+    n = draw(st.integers(1, 5))
+    cells = list(itertools.product(range(n), repeat=2))
+    if draw(st.booleans()):
+        eps = _EPS
+        if draw(st.booleans()):
+            x = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            base = [(x[i] - x[j]) ** 2 / 2 for i, j in cells]
         else:
-            assert brute_force_equivalent(space, v, w) == fast
-            agreeing += 1
-    assert agreeing == 36
+            base = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+        shift = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+        values = [b + k * eps for b, k in zip(base, shift)]
+    else:
+        eps = draw(st.sampled_from([0.0, _BIG]))
+        big = st.sampled_from([0.0, _BIG, -_BIG, 2 * _BIG, -2 * _BIG])
+        values = draw(st.lists(big, min_size=n * n, max_size=n * n))
+    m = np.array(values).reshape(n, n)
+    if draw(st.booleans()):
+        m = np.triu(m) + np.triu(m, 1).T
+    diagonal = st.sampled_from([0.0, -0.0, eps, -eps])
+    m[np.diag_indices(n)] = draw(st.lists(diagonal, min_size=n, max_size=n))
+    return SigmaSpace([f"P{i}" for i in range(n)], m, tolerance=eps)
+
+
+_EXACT_COEFFICIENTS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(exact_spaces(), st.data())
+def test_fast_paths_match_the_oracle_on_exact_tables(space, data):
+    # Both rules decide exactly here, so they must agree on every pair,
+    # at differences of exactly ε too; no exclusions.
+    vectors = all_vectors(space)
+    pairs = list(itertools.product(vectors, repeat=2))
+    for v, w in pairs:
+        assert equivalent(space, v, w).equivalent == brute_force_equivalent(space, v, w)
+    partition = equivalence_classes(space)
+    assert partition.classes == _oracle_partition(space)
+    assert partition.coherent == all(
+        brute_force_equivalent(space, a, b)
+        for cls in partition.classes
+        for a, b in itertools.combinations(cls, 2)
+    )
+    c = Coefficients(data.draw(_EXACT_COEFFICIENTS), data.draw(_EXACT_COEFFICIENTS))
+    solver_row = data.draw(st.sampled_from(vectors))
+    solvable = 0
+    for v, w in pairs:
+        expected = brute_force_solve(space, c, v, w)
+        solvable += bool(expected)
+        if v == solver_row:
+            assert list(solve_combination(space, c, v, w).solutions) == expected
+    (row,) = survey_linearity(space, [c]).rows
+    assert row.solvable == solvable
 
 
 def test_range_rule_and_four_term_differ_only_by_ulps():
@@ -647,8 +698,8 @@ def _assert_same_partition_as_numpy(rows):
     )
 )
 def test_unique_rows_matches_numpy_unique(rows):
-    # Few distinct values make repeated rows common; the callers drop
-    # non-finite rows first, which often leaves nothing at all.
+    # Few distinct values make repeated rows common; _unique_rows takes
+    # finite rows, and dropping the others often leaves nothing at all.
     finite = rows[np.isfinite(rows).all(axis=1)]
     _assert_same_partition_as_numpy(finite)
 

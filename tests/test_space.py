@@ -31,6 +31,8 @@ from tgeom import (
     is_symmetric,
     perturb_table,
 )
+from tgeom.space import SIGMA_BOUND, matrix_problems
+from tgeom.tablefile import load_space
 
 import naive_tablefile as naive
 from conftest import make_table
@@ -245,6 +247,45 @@ def test_coordinate_overflow_is_a_typed_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue):
             build_coordinate_space({"a": (1e200, 0.0), "b": (-1e200, 0.0)})
+
+
+def test_values_beyond_the_bound_are_rejected_by_every_constructor(tmp_path, tri_table):
+    # 1.5e308 is finite, but four-term sums of such values overflow.
+    big = 1.5e308
+    entries = [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+    path = tmp_path / "over.sigma"
+    lines = [f"sigma: {p} {q} {value!r}\n" for p, q, value in entries]
+    path.write_text("points: A B C\n" + "".join(lines), encoding="utf-8")
+    builds = [
+        lambda: SigmaSpace(["A", "B"], [[0.0, big], [big, 0.0]]),
+        lambda: build_finite_table(["A", "B", "C"], entries),
+        lambda: perturb_table(tri_table, [("A", "B", big)]),
+        lambda: load_space(path),
+    ]
+    for build in builds:
+        with pytest.raises(NonFiniteValue) as err:
+            build()
+        assert str(err.value) == f"value for (A, B) is 1.5e+308, beyond ±{SIGMA_BOUND!r}"
+    # Coordinates near 1e154 give σ = 5e307, finite but past the bound.
+    with pytest.raises(NonFiniteValue, match=r"\(a, b\) is 5e\+307, beyond"):
+        build_coordinate_space({"a": (1e154,), "b": (0.0,)})
+
+
+def test_sigma_bound_is_inclusive_and_named_apart_from_non_finite_values():
+    assert SIGMA_BOUND * 32 == np.finfo(float).max
+    for value in (SIGMA_BOUND, -SIGMA_BOUND):
+        space = SigmaSpace(["A", "B"], [[0.0, value], [value, 0.0]])
+        assert space.sigma("B", "A") == value
+    past = float(np.nextafter(SIGMA_BOUND, math.inf))
+    with pytest.raises(NonFiniteValue, match="beyond"):
+        SigmaSpace(["A", "B"], [[0.0, past], [past, 0.0]])
+    m = np.array([[0.0, math.nan, 1e308], [-math.inf, 0.0, 1.0], [-1e308, 1.0, 0.0]])
+    assert [str(p) for p in matrix_problems(["A", "B", "C"], m, 1e-9)] == [
+        "value for (A, B) is not finite",
+        f"value for (A, C) is 1e+308, beyond ±{SIGMA_BOUND!r}",
+        "value for (B, A) is not finite",
+        f"value for (C, A) is -1e+308, beyond ±{SIGMA_BOUND!r}",
+    ]
 
 
 @settings(max_examples=50, deadline=None)
