@@ -1,12 +1,15 @@
-"""Naive references for the table-file parser and ``build_finite_table``.
+"""Naive references for the table-file parser and writer and ``build_finite_table``.
 
-These are the per-line dict parser and the list-of-lists table builder
-that the array-based versions replaced, kept as they were so tests can
-require identical results and identical errors from the fast paths.
+These are the per-line dict parser, the per-line writer and the
+list-of-lists table builder that the array-based versions replaced,
+kept as they were so tests can require identical results and identical
+errors from the fast paths. The writer judges symmetry and zero on the
+bits of a value, so that -0.0 round-trips.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 
@@ -188,3 +191,25 @@ def parse_table_text(text: str, path: str = "<string>") -> ParsedTable:
         matrix=matrix,
     )
 
+
+def format_space(space: SigmaSpace) -> str:
+    """Canonical text form of a space, one formatted value per line."""
+    m = space.matrix
+    bits = m.view(np.uint64)
+    points = space.points
+    chunks = [
+        "points: " + " ".join(points),
+        f"tolerance: {space.tolerance!r}",
+    ]
+    exactly_symmetric = bool((bits == bits.T).all())
+    for i, p in enumerate(points):
+        row = m[i].tolist()
+        prefix = f"sigma: {p} "
+        others = zip(points[i + 1 :], row[i + 1 :])
+        if not exactly_symmetric:
+            others = itertools.chain(zip(points[:i], row[:i]), others)
+        lines = [f"{prefix}{p} {row[i]!r}"] if bits[i, i] != 0 else []
+        lines += [f"{prefix}{q} {v!r}" for q, v in others]
+        if lines:
+            chunks.append("\n".join(lines))
+    return "\n".join(chunks) + "\n"

@@ -283,7 +283,7 @@ def test_criterion_09_file_round_trips(tmp_path):
             save_space(space, path)
             again = load_space(path)
             assert again.points == space.points
-            assert np.array_equal(again.matrix, space.matrix)
+            assert again.matrix.tobytes() == space.matrix.tobytes()
 
         for i in range(50):
             space = make_table(rng, int(rng.integers(2, 7)), symmetric=bool(i % 2))
@@ -291,7 +291,7 @@ def test_criterion_09_file_round_trips(tmp_path):
             save_space(space, path)
             again = load_space(path)
             assert again.points == space.points
-            assert np.array_equal(again.matrix, space.matrix)
+            assert again.matrix.tobytes() == space.matrix.tobytes()
 
 
 def test_criterion_10_performance_guard():

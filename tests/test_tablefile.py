@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,7 @@ from tgeom import (
 
 import naive_tablefile as naive
 from tgeom import tablefile
+from tgeom.space import SIGMA_BOUND
 from conftest import make_table
 
 GOOD = """\
@@ -136,7 +138,7 @@ def test_grid_round_trip_exact(tmp_path):
         save_space(space, path)
         again = load_space(path)
         assert again.points == space.points
-        assert np.array_equal(again.matrix, space.matrix)
+        assert again.matrix.tobytes() == space.matrix.tobytes()
         assert again.tolerance == space.tolerance
 
 
@@ -147,7 +149,23 @@ def test_random_table_round_trip_exact(tmp_path):
         path = tmp_path / "table.sigma"
         save_space(space, path)
         again = load_space(path)
-        assert np.array_equal(again.matrix, space.matrix)
+        assert again.matrix.tobytes() == space.matrix.tobytes()
+
+
+def test_signed_zeros_round_trip():
+    # -0.0 == 0.0 as floats, so symmetry and a zero diagonal are judged
+    # on the bits: σ(A,B) = -0.0 beside σ(B,A) = 0.0 is asymmetric, and
+    # a diagonal -0.0 is written.
+    space = SigmaSpace(["A", "B", "C"], [[0, -0.0, 1], [0, 0, 2], [1, 2, -0.0]])
+    text = format_space(space)
+    assert "sigma: B A 0.0\n" in text and "sigma: C C -0.0\n" in text
+    assert "sigma: A A" not in text
+    again = parse_table_text(text)
+    assert again.matrix.tobytes() == space.matrix.tobytes()
+    symmetric = SigmaSpace(["A", "B"], [[-0.0, -0.0], [-0.0, 0.0]])
+    text = format_space(symmetric)
+    assert text.count("sigma:") == 2
+    assert parse_table_text(text).matrix.tobytes() == symmetric.matrix.tobytes()
 
 
 def test_sub_tolerance_asymmetry_round_trips(tmp_path):
@@ -461,4 +479,76 @@ def test_accepted_labels_round_trip_exactly(labels):
         save_space(space, path)
         again = load_space(path)
     assert again.points == space.points
-    assert np.array_equal(again.matrix, space.matrix)
+    assert again.matrix.tobytes() == space.matrix.tobytes()
+
+
+# Values that repeat, signed zeros, subnormals, and values at and near
+# the bound on |σ|, beside arbitrary values within it.
+WRITER_VALUES = st.one_of(
+    st.sampled_from(
+        [
+            0.0,
+            -0.0,
+            1.0,
+            2.5,
+            -3.0,
+            0.1,
+            5e-324,
+            -5e-324,
+            1e-310,
+            2.2250738585072014e-308,
+            SIGMA_BOUND,
+            -SIGMA_BOUND,
+            math.nextafter(SIGMA_BOUND, 0.0),
+            -math.nextafter(SIGMA_BOUND, 0.0),
+        ]
+    ),
+    st.floats(-SIGMA_BOUND, SIGMA_BOUND),
+)
+WRITER_LABELS = ["A", "ρουλέτα", "点_1", "é", "point_number_1", "b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_writer_matches_naive_reference(data):
+    # Blocks of one and three lines put a block edge after every line
+    # and inside rows; the default block holds any table drawn here.
+    n = data.draw(st.integers(1, 6))
+    tolerance = data.draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    # "zeros" draws both directions of a pair from 0.0, -0.0 and 1.0, so
+    # tables equal to their transpose but for the sign of a zero are common.
+    shape = data.draw(st.sampled_from(["symmetric", "asymmetric", "zeros"]))
+    value = st.sampled_from([0.0, -0.0, 1.0]) if shape == "zeros" else WRITER_VALUES
+    m = np.empty((n, n))
+    for i in range(n):
+        # A diagonal within ε of zero: for ε = 0 only ±0.0.
+        m[i, i] = tolerance * data.draw(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]))
+        for j in range(i + 1, n):
+            m[i, j] = data.draw(value)
+            m[j, i] = m[i, j] if shape == "symmetric" else data.draw(value)
+    labels = data.draw(st.permutations(WRITER_LABELS))[:n]
+    space = SigmaSpace(labels, m, tolerance=tolerance)
+    expected = naive.format_space(space)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tablefile, "_LINES", data.draw(st.sampled_from([1, 3, tablefile._LINES])))
+        text = format_space(space)
+    assert text == expected
+    again = parse_table_text(text)
+    assert again.labels == space.points
+    assert again.matrix.tobytes() == space.matrix.tobytes()
+
+
+def test_writer_memory_stays_within_three_times_its_text():
+    # Writing the whole file as one block peaks past three times its
+    # length; blocks of _LINES lines keep the peak below that.
+    space = build_grid_space(GridSpec(dim=2, size=24))
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        text = format_space(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 4084579
+    assert peak <= 3 * len(text)
