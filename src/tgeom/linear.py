@@ -23,7 +23,6 @@ from .equivalence import (
     _probe_rows,
     _rows_agree,
     _window_matches,
-    _within,
 )
 from .space import SigmaSpace, enforce_limit
 from .vectors import Vector
@@ -89,66 +88,64 @@ def _coefficient_pattern(a: float, b: float) -> GuaranteedCase | None:
     return None
 
 
+def _always_defined(
+    c: Coefficients, v: Vector, w: Vector
+) -> tuple[GuaranteedCase, Vector] | None:
+    """The always-defined case of α·v + β·w and its representative, or None.
+
+    Coefficients match 0 and ±1 exactly but by value, so -0.0 is 0, as
+    -0.0·v = 0: case membership is a structural claim, and numeric slack
+    belongs only in world-function comparisons. When both endpoint
+    coincidences of a case hold, the first wins: end of v = origin of w
+    before end of w = origin of v for chain sums, end = end before
+    origin = origin for differences. The representative of a chain or a
+    difference is v + w or v - w, reversed when α = -1.
+    """
+    a, b = c.alpha, c.beta
+    case, sign = _coefficient_pattern(a, b), a
+    if case is GuaranteedCase.ZERO:
+        return case, Vector(v.origin, v.origin)
+    if case is GuaranteedCase.SINGLE_VECTOR:
+        out, sign = (v, a) if b == 0.0 else (w, b)
+    elif case is GuaranteedCase.CHAIN_SUM and v.end == w.origin:
+        out = Vector(v.origin, w.end)
+    elif case is GuaranteedCase.CHAIN_SUM and w.end == v.origin:
+        out = Vector(w.origin, v.end)
+    elif case is GuaranteedCase.COMMON_ENDPOINT_DIFFERENCE and v.end == w.end:
+        out = Vector(v.origin, w.origin)
+    elif case is GuaranteedCase.COMMON_ENDPOINT_DIFFERENCE and v.origin == w.origin:
+        out = Vector(w.end, v.end)
+    else:
+        return None
+    return case, out if sign == 1.0 else negate(out)
+
+
 def guaranteed_case(
     space: SigmaSpace, c: Coefficients, v: Vector, w: Vector
 ) -> GuaranteedCase | None:
     """Classify a combination request against the always-defined cases.
 
-    Coefficient matching is exact (bit equality with 0 and ±1): case
-    membership is a structural claim, so numeric slack belongs only in
-    world-function comparisons. Anything else returns None and is left
-    to the exhaustive solver.
+    Anything that matches none returns None and is left to the
+    exhaustive solver; the rule is :func:`_always_defined`'s.
     """
     v, w = Vector(*v), Vector(*w)
     for label in (v.origin, v.end, w.origin, w.end):
         space.index(label)
-    pattern = _coefficient_pattern(c.alpha, c.beta)
-    if pattern in (GuaranteedCase.ZERO, GuaranteedCase.SINGLE_VECTOR):
-        return pattern
-    if pattern is GuaranteedCase.CHAIN_SUM and (
-        v.end == w.origin or w.end == v.origin
-    ):
-        return pattern
-    if pattern is GuaranteedCase.COMMON_ENDPOINT_DIFFERENCE and (
-        v.end == w.end or v.origin == w.origin
-    ):
-        return pattern
-    return None
+    found = _always_defined(c, v, w)
+    return None if found is None else found[0]
 
 
 def construct_guaranteed(
     space: SigmaSpace, c: Coefficients, v: Vector, w: Vector
 ) -> Vector:
-    """Representative of a guaranteed combination, built without search.
-
-    When both endpoint coincidences of a case hold simultaneously the
-    first one in the documented order wins (end-of-v = origin-of-w for
-    chains, end = end for differences).
-    """
+    """Representative of a guaranteed combination, built without search."""
     v, w = Vector(*v), Vector(*w)
-    case = guaranteed_case(space, c, v, w)
-    if case is None:
+    if guaranteed_case(space, c, v, w) is None:
         raise NotGuaranteed(
             f"alpha={c.alpha!r}, beta={c.beta!r} with endpoints {v}, {w} "
             f"matches no always-defined case"
         )
-    if case is GuaranteedCase.ZERO:
-        return Vector(v.origin, v.origin)
-    if case is GuaranteedCase.SINGLE_VECTOR:
-        base, sign = (v, c.alpha) if c.beta == 0.0 else (w, c.beta)
-        return base if sign == 1.0 else negate(base)
-    if case is GuaranteedCase.CHAIN_SUM:
-        if v.end == w.origin:
-            out = Vector(v.origin, w.end)
-        else:
-            out = Vector(w.origin, v.end)
-        return out if c.alpha == 1.0 else negate(out)
-    # Common-endpoint difference: v - w up to overall sign.
-    if v.end == w.end:
-        out = Vector(v.origin, w.origin)
-    else:
-        out = Vector(w.end, v.end)
-    return out if c.alpha == 1.0 else negate(out)
+    return _always_defined(c, v, w)[1]
 
 
 @dataclass(frozen=True)
@@ -185,35 +182,24 @@ def solve_combination(
 
     A candidate (S0, S1) is a solution when its fingerprint row matches
     the target α·(row of v) + β·(row of w) under the range rule, which
-    is the probe-response match in both argument slots. Candidates are
-    first pruned on the first-slot half of the row, then survivors are
-    checked on both halves. More than limit points are refused;
-    limit=None searches any size.
+    is the probe-response match in both argument slots. Every candidate
+    is checked, on the fingerprint rows of all n² vectors. More than
+    limit points are refused; limit=None searches any size.
     """
     enforce_limit(space, limit, "search")
     v, w = Vector(*v), Vector(*w)
     n = len(space)
-    m = space.matrix
-    eps = space.tolerance
-    origins = [space.index(v.origin), space.index(w.origin)]
-    ends = [space.index(v.end), space.index(w.end)]
+    v0, w0, v1, w1 = map(space.index, (v.origin, w.origin, v.end, w.end))
+    columns = _probe_rows(space).T  # one candidate per column
     with np.errstate(over="ignore", invalid="ignore"):
-        row_v, row_w = _probe_rows(space, origins, ends)
-        target = c.alpha * row_v + c.beta * row_w
-        # Row s0·n + s1 is the first half of that candidate's fingerprint
-        # row, the same floats as _probe_rows, so the prune drops nothing
-        # the full check or the survey would accept. In place, because
-        # fresh n³ temporaries cost page faults.
-        first = (m[:, None, :] - m[None, :, :]).reshape(-1, n)
-        first -= first[:, :1].copy()
-        first -= target[:n]
-        keep = np.flatnonzero(_within(np.ptp(first, axis=1), eps))
-        s0, s1 = np.divmod(keep, n)
-        keep = keep[_rows_agree((_probe_rows(space, s0, s1) - target).T, eps)]
+        target = c.alpha * columns[:, v0 * n + v1] + c.beta * columns[:, w0 * n + w1]
+        columns -= target[:, None]
+        keep = np.flatnonzero(_rows_agree(columns, space.tolerance))
 
     points = space.points
     solutions = sorted(Vector(points[k // n], points[k % n]) for k in keep.tolist())
-    case = guaranteed_case(space, c, v, w)
+    found = _always_defined(c, v, w)
+    case = None if found is None else found[0]
     return CombinationResult(
         solutions=tuple(solutions),
         guaranteed=case,

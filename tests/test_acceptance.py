@@ -295,7 +295,7 @@ def test_criterion_09_file_round_trips(tmp_path):
 
 
 def test_criterion_10_performance_guard():
-    with criterion(10, "pruned solve on the 6x6 grid", 5.0):
+    with criterion(10, "exhaustive solve on the 6x6 grid", 5.0):
         grid = build_grid_space(GridSpec(dim=2, size=6))  # 36 points
         result = solve_combination(
             grid, Coefficients(1.0, 1.0), Vector("p0_0", "p1_0"), Vector("p0_0", "p0_1")

@@ -295,6 +295,41 @@ def test_identities_command(tri_file, capsys):
     assert "violations: 0" in capsys.readouterr().out
 
 
+def test_survey_rejects_a_single_coefficient(full_grid_file, capsys):
+    assert main(["survey", full_grid_file, "--coeffs", "1"]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "error: --coeffs expects 'alpha,beta', got '1'\n",
+    )
+
+
+def test_identities_lists_violations_and_skipped_identities(tmp_path, capsys):
+    # At tolerance 0 the rounding of 0.1, 0.2 and 0.7 breaks the identities.
+    exact = tmp_path / "exact.sigma"
+    exact.write_text(
+        "points: A B C\ntolerance: 0\n"
+        "sigma: A B 0.1\nsigma: A C 0.2\nsigma: B C 0.7\n",
+        encoding="utf-8",
+    )
+    assert main(["identities", str(exact)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "checked: 729 tuples",
+        "violations: 174",
+        "  first-arg-reversal at (A, A, B, C): "
+        "lhs=2.7755575615628914e-17 rhs=-2.7755575615628914e-17",
+    ]
+    assert len(lines) == 2 + 174
+    asym = tmp_path / "asym.sigma"
+    asym.write_text("points: A B\nsigma: A B 1.0\nsigma: B A 2.0\n", encoding="utf-8")
+    assert main(["identities", str(asym)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "checked: 96 tuples",
+        "violations: 0",
+        "skipped: exchange-symmetry (asymmetric world function)",
+    ]
+
+
 def test_identities_limit(tmp_path, capsys):
     path = str(tmp_path / "big.sigma")
     assert main(["grid", "--dim", "2", "--size", "4", "--out", path]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,6 +67,9 @@ def test_coefficients_must_be_finite():
         (2.0, 0.0, Vector("A", "B"), Vector("C", "C"), None),  # non-unit survivor
         (1.0, 1.0, Vector("A", "B"), Vector("C", "A"), GuaranteedCase.CHAIN_SUM),
         (1.0, 1.0, Vector("A", "B"), Vector("C", "B"), None),  # no chain point
+        # Coefficients match by value: -0.0·v = 0.
+        (-0.0, -0.0, Vector("A", "B"), Vector("C", "C"), GuaranteedCase.ZERO),
+        (-1.0, -0.0, Vector("A", "B"), Vector("C", "C"), GuaranteedCase.SINGLE_VECTOR),
     ],
 )
 def test_guaranteed_case_classification(tri_table, alpha, beta, v, w, expected):
@@ -342,6 +346,48 @@ def test_solver_epsilon_boundary_stress_matches_oracle(size, deleted):
         if size == 3:
             _assert_survey_matches_solver(space)
     assert dropped > 0  # the perturbations straddle ε
+
+
+def test_overflowed_coefficients_match_the_oracle_on_the_exact_grid(grid33):
+    # Grid responses are exact: a null vector's are exactly zero, so a
+    # huge coefficient on it vanishes for the solver and the oracle
+    # alike, and any other target is about 1e308 or more from every
+    # candidate's responses, or not finite.
+    huge = 1e308
+    coeffs = [
+        Coefficients(a, b)
+        for a, b in itertools.chain(
+            itertools.product((huge, -huge), repeat=2), ((huge, 0.0), (-huge, 1.0))
+        )
+    ]
+    vectors = [Vector(p, q) for p in grid33.points for q in grid33.points]
+    defined = 0
+    for c, v, w in itertools.product(coeffs, vectors, vectors):
+        fast = solve_combination(grid33, c, v, w).solutions
+        assert list(fast) == brute_force_solve(grid33, c, v, w), (c, v, w)
+        defined += bool(fast)
+    assert defined > 0
+
+
+def test_one_solve_peaks_near_its_probe_rows():
+    # The 40-point grid of the benchmark's queries workload. The rows of
+    # all n² candidates take 16·n³ bytes; the target is subtracted from
+    # them in place, so a fresh copy (about 2.1 times that) fails here.
+    deleted = {(3, 2), (5, 4), (6, 6), (0, 6), (2, 5), (4, 1), (1, 3), (6, 0), (3, 4)}
+    grid = build_grid_space(GridSpec(dim=2, size=7, deleted=frozenset(deleted)))
+    n = len(grid)
+    assert n == 40
+    c, v, w = Coefficients(2.0, -1.0), Vector("p0_0", "p1_1"), Vector("p0_1", "p2_0")
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = solve_combination(grid, c, v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.defined
+    assert peak <= 1.5 * 16 * n**3
 
 
 def test_all_chained_pairs_solvable(grid22_deleted):

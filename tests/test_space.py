@@ -208,6 +208,30 @@ def test_coordinate_space_dimension_check():
         build_coordinate_space({"a": (0.0, 1.0), "b": (2.0,)})
 
 
+@pytest.mark.parametrize(
+    "coords, error",
+    [
+        ({}, EmptySpace),
+        ({"a": (), "b": ()}, DimensionMismatch),
+        ({"a": (0.0,), "b": (math.inf,)}, NonFiniteValue),
+    ],
+)
+def test_coordinate_space_rejects_bad_coordinates(coords, error):
+    with pytest.raises(error):
+        build_coordinate_space(coords)
+
+
+def test_matrix_shape_must_match_the_labels():
+    with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+        SigmaSpace(["A", "B"], [[0.0]])
+
+
+@pytest.mark.parametrize("dim, size", [(0, 2), (2, 0)])
+def test_grid_spec_rejects_empty_axes(dim, size):
+    with pytest.raises(ValueError, match="positive integer"):
+        GridSpec(dim=dim, size=size)
+
+
 def test_every_constructed_space_has_clean_diagonal(grid33, tri_table):
     rng = np.random.default_rng(7)
     spaces = [grid33, tri_table] + [

@@ -68,6 +68,10 @@ def test_parse_asymmetric_both_directions():
     "text,line,fragment",
     [
         ("sigma: A B 1.0\n", 1, "points"),
+        ("tolerance: 1e-9\npoints: A B\n", 1, "first directive must be a points:"),
+        ("points:\n", 1, "names no points"),
+        ("", 1, "no points: line"),  # past the last line of an empty file
+        ("# a comment\n\n", 3, "no points: line"),
         ("points: A B\npoints: A B\n", 2, "duplicate points"),
         ("points: A A\n", 1, "duplicate point label"),
         ("points: A B\nsigma: A B 1.0\ntolerance: 1e-9\n", 3, "before sigma"),
