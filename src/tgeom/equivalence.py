@@ -49,29 +49,25 @@ def _rows_agree(delta: np.ndarray, eps: float) -> np.ndarray:
     return _within(first, eps) & _within(second, eps)
 
 
-def _probe_rows(space: SigmaSpace, origins=None, ends=None) -> np.ndarray:
-    """Fingerprint rows (d | e) of the vectors (origins[k], ends[k]).
+def _probe_rows(space: SigmaSpace, origins=slice(None), ends=slice(None)) -> np.ndarray:
+    """Fingerprint rows (d | e) of the vectors from each origin to each end.
 
-    Each half is shifted to zero at column 0, which the range rule
-    ignores. By default all n² vectors, vector k from point k // n to
-    point k % n, written by broadcasting into one array: the same floats
-    as the gather. That array is C-contiguous (2n, n²), one vector per
-    column, and the rows are its transpose, since the index reduces down
-    columns.
+    Rows are origin-major: by default all n² vectors, vector k from
+    point k // n to point k % n, and the rows of a block of origins are
+    bitwise the matching rows of the whole. Each half is shifted to zero
+    at column 0, which the range rule ignores. The rows are written by
+    broadcasting into one C-contiguous array, one vector per column, and
+    returned as its transpose, since the index reduces down columns.
     """
     m = space.matrix
-    if origins is not None:
-        d = m[origins] - m[ends]
-        e = m.T[ends] - m.T[origins]
-        return np.concatenate((d - d[:, :1], e - e[:, :1]), axis=1)
     n = len(space)
-    mt = np.ascontiguousarray(m.T)
+    start, stop = (np.ascontiguousarray(m[k].T) for k in (origins, ends))
     # columns[h, q, i, j]: column q of half h of the row of vector (i, j).
-    columns = np.empty((2, n, n, n))
-    np.subtract(mt[:, :, None], mt[:, None], out=columns[0])
-    np.subtract(m[:, None], m[:, :, None], out=columns[1])
+    columns = np.empty((2, n, start.shape[1], stop.shape[1]))
+    np.subtract(start[:, :, None], stop[:, None], out=columns[0])
+    np.subtract(m[:, None, ends], m[:, origins, None], out=columns[1])
     columns -= columns[:, :1].copy()
-    return columns.reshape(2 * n, n * n).T
+    return columns.reshape(2 * n, -1).T
 
 
 def _row_hashes(words: np.ndarray) -> np.ndarray:
@@ -275,7 +271,8 @@ def equivalent(space: SigmaSpace, v: Vector, w: Vector) -> EquivalenceWitness:
     n = len(space)
     origins = [space.index(v.origin), space.index(w.origin)]
     ends = [space.index(v.end), space.index(w.end)]
-    row_v, row_w = _probe_rows(space, origins, ends)
+    # The rows of (v0, v1), (v0, w1), (w0, v1) and (w0, w1).
+    row_v, _, _, row_w = _probe_rows(space, origins, ends)
     delta = row_v - row_w
     if _rows_agree(delta, eps):
         return EquivalenceWitness(equivalent=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -346,6 +347,23 @@ def test_random_subcommand_deterministic(tmp_path, capsys):
     assert main(["random", "--points", "4", "--seed", "9", "--out", b]) == 0
     assert open(a, encoding="utf-8").read() == open(b, encoding="utf-8").read()
     assert main(["check", a]) == 0
+
+
+def test_random_asymmetric_output_is_pinned(capsys):
+    # The same pin as the CI smoke test.
+    argv = ["random", "--points", "150", "--seed", "7", "--asymmetric"]
+    assert main(argv + ["--low", "-5", "--high", "5"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "a379281dd0af8e312d6ee06c3840f3332570b341070d3aa91a86f453652be511"
+    )
+
+
+def test_version_flag_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "tgeom 0.1.0\n"
 
 
 def test_outputs_are_deterministic(full_grid_file, capsys):

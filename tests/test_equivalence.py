@@ -166,11 +166,18 @@ def test_fingerprint_agreement_matches_direct_path():
             assert direct == _rows_agree(rows[v] - rows[w], space.tolerance)
 
 
+def _assert_same_floats(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_broadcast_probe_rows_match_the_gather():
-    # All n² rows at once are written by broadcasting; rows for listed
-    # vectors are gathered. Both must give the same floats, -0.0 included,
-    # and on a table at |σ| = 2**1018 entries reach 3·|σ| exactly.
+def test_probe_rows_of_single_vectors_and_origin_blocks_are_rows_of_the_whole():
+    # One builder serves every caller: the rows of one vector, or of a
+    # block of origins, are the same floats as the matching rows of all
+    # n², -0.0 included, and on a table at |σ| = 2**1018 entries reach
+    # 3·|σ| exactly.
     rng = np.random.default_rng(28)
     big = 2.0**1018
     spaces = [
@@ -187,11 +194,36 @@ def test_broadcast_probe_rows_match_the_gather():
     for space in spaces:
         n = len(space)
         rows = _probe_rows(space)
-        gathered = _probe_rows(space, *np.divmod(np.arange(n * n), n))
-        assert rows.shape == gathered.shape == (n * n, 2 * n)
-        assert rows.tobytes() == gathered.tobytes()
-        assert np.array_equal(np.signbit(rows), np.signbit(gathered))
+        assert rows.shape == (n * n, 2 * n)
+        pairs = itertools.product(range(n), repeat=2)
+        singles = [_probe_rows(space, [i], [j]) for i, j in pairs]
+        blocks = [_probe_rows(space, slice(r, r + 2)) for r in range(0, n, 2)]
+        _assert_same_floats(np.concatenate(singles), rows)
+        _assert_same_floats(np.concatenate(blocks), rows)
     assert np.abs(rows).max() == 3 * big  # the table at the bound
+
+
+@st.composite
+def _selections(draw, n):
+    """A non-empty slice or list of point indices below n."""
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        return slice(start, draw(st.integers(start + 1, n)))
+    return draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_probe_rows_of_any_origins_and_ends_are_rows_of_the_whole(data):
+    n = data.draw(st.integers(1, 8))
+    zeros = st.sampled_from([0.0, -0.0])
+    values = st.one_of(zeros, st.floats(-1e6, 1e6))
+    m = data.draw(hnp.arrays(np.float64, (n, n), elements=values))
+    m[np.diag_indices(n)] = data.draw(hnp.arrays(np.float64, n, elements=zeros))
+    space = SigmaSpace([f"P{i}" for i in range(n)], m)
+    origins, ends = data.draw(_selections(n)), data.draw(_selections(n))
+    whole = _probe_rows(space).reshape(n, n, 2 * n)[origins][:, ends]
+    _assert_same_floats(_probe_rows(space, origins, ends), whole.reshape(-1, 2 * n))
 
 
 def test_witness_present_iff_not_equivalent():

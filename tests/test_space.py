@@ -170,6 +170,12 @@ def test_grid_to_table_round_trip_exact(grid33):
     assert table.points == grid33.points
 
 
+def test_repr_names_size_and_backing():
+    grid = build_grid_space(GridSpec(dim=2, size=2))
+    assert repr(grid) == "SigmaSpace(4 points, coordinates-backed)"
+    assert repr(as_table(grid)) == "SigmaSpace(4 points, table-backed)"
+
+
 def test_asymmetric_table_detected():
     space = build_finite_table(["A", "B"], [("A", "B", 1.0), ("B", "A", 2.0)])
     assert not is_symmetric(space)
