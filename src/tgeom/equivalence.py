@@ -7,8 +7,11 @@ d[Q1] - d[Q0] in the first slot, d = σ(P0, ·) - σ(P1, ·), and e[Q0] - e[Q1]
 in the second, e = σ(·, P1) - σ(·, P0). So v ~ w exactly when each half of
 the difference of their fingerprint rows (d | e) spans at most the
 tolerance: the range rule behind every decision here and in
-:mod:`tgeom.linear`. The oracle's probe-by-probe four-term test differs
-from it only where the rounding of sums, a few ulps of max|σ|, reaches ε.
+:mod:`tgeom.linear`. Where σ is symmetric at P0 and P1, e = -d by value,
+since rounded subtraction is exactly antisymmetric, and the rule on e
+repeats the rule on d; such rows carry d alone. The oracle's
+probe-by-probe four-term test differs from the range rule only where the
+rounding of sums, a few ulps of max|σ|, reaches ε.
 """
 
 from __future__ import annotations
@@ -37,37 +40,44 @@ def _within(x, eps: float):
     return np.abs(x) <= eps
 
 
-def _rows_agree(delta: np.ndarray, eps: float) -> np.ndarray:
-    """Range rule on row differences: each half of axis 0 spans <= eps.
+def _rows_agree(delta: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """Range rule on row differences: each n-float half of axis 0 spans <= eps.
 
-    delta is one difference row of 2n floats, or a (2n, k) block holding
-    k of them as columns: reductions down columns are what numpy is fast
-    at, and a row is only 2n floats long.
+    delta is one difference row of n or 2n floats, as _probe_rows writes
+    them, or a (width, k) block holding k of them as columns: reductions
+    down columns are what numpy is fast at, and a row is at most 2n
+    floats long.
     """
-    n = delta.shape[0] // 2
-    first, second = np.ptp(delta[:n], axis=0), np.ptp(delta[n:], axis=0)
-    return _within(first, eps) & _within(second, eps)
+    spans = np.ptp(delta.reshape(len(delta) // n, n, *delta.shape[1:]), axis=1)
+    return _within(spans, eps).all(axis=0)
 
 
 def _probe_rows(space: SigmaSpace, origins=slice(None), ends=slice(None)) -> np.ndarray:
-    """Fingerprint rows (d | e) of the vectors from each origin to each end.
+    """Fingerprint rows of the vectors from each origin to each end.
 
     Rows are origin-major: by default all n² vectors, vector k from
-    point k // n to point k % n, and the rows of a block of origins are
-    bitwise the matching rows of the whole. Each half is shifted to zero
-    at column 0, which the range rule ignores. The rows are written by
-    broadcasting into one C-contiguous array, one vector per column, and
-    returned as its transpose, since the index reduces down columns.
+    point k // n to point k % n. A row is (d | e), 2n floats, or d
+    alone, n floats, when σ's row equals its column, by value, at every
+    origin and end of the call: e = -d by value there, since rounded
+    subtraction is exactly antisymmetric. The test reads only the rows
+    and columns of those points. The rows of any origins and ends are
+    bitwise the matching rows of the whole, cut to the call's width.
+    Each half is shifted to zero at column 0, which the range rule
+    ignores. The rows are written by broadcasting into one C-contiguous
+    array, one vector per column, and returned as its transpose, since
+    the index reduces down columns.
     """
     m = space.matrix
     n = len(space)
+    symmetric = all((m[k] == m[:, k].T).all() for k in (origins, ends))
     start, stop = (np.ascontiguousarray(m[k].T) for k in (origins, ends))
     # columns[h, q, i, j]: column q of half h of the row of vector (i, j).
-    columns = np.empty((2, n, start.shape[1], stop.shape[1]))
+    columns = np.empty((1 if symmetric else 2, n, start.shape[1], stop.shape[1]))
     np.subtract(start[:, :, None], stop[:, None], out=columns[0])
-    np.subtract(m[:, None, ends], m[:, origins, None], out=columns[1])
+    if not symmetric:
+        np.subtract(m[:, None, ends], m[:, origins, None], out=columns[1])
     columns -= columns[:, :1].copy()
-    return columns.reshape(2 * n, -1).T
+    return columns.reshape(len(columns) * n, -1).T
 
 
 def _row_hashes(words: np.ndarray) -> np.ndarray:
@@ -149,11 +159,11 @@ def _fingerprint_index(space: SigmaSpace):
     """The distinct fingerprint rows, sorted on one key column.
 
     Returns (reps, keys, sizes, position): reps is a C-contiguous
-    (2n, u) array whose column k is representative k, since window checks
-    reduce down columns; keys holds two rows of reps: the sort key, by
-    which reps is sorted ascending, then the column that splits the most
-    neighbours within the tolerance in that order, which prefilters
-    window candidates; sizes[k] counts the vectors with representative
+    (width, u) array whose column k is representative k, width n or 2n
+    as _probe_rows chose, since window checks reduce down columns; keys
+    holds two rows of reps: the sort key, by which reps is sorted
+    ascending, then the column that splits the most neighbours within
+    the tolerance in that order, which prefilters window candidates; sizes[k] counts the vectors with representative
     k; position[v] is the representative of vector v. The sort key is
     chosen by _sort_key on a sample of the distinct rows; the keys
     change only the speed of a window join, never its pairs.
@@ -174,19 +184,20 @@ def _fingerprint_index(space: SigmaSpace):
     return reps, reps[[key, int(np.argmax(split))]], sizes[order], position
 
 
-def _window_matches(candidates, keys, queries, targets, eps: float, first=0):
+def _window_matches(candidates, keys, queries, targets, eps: float, n: int, first=0):
     """Pairs (t, c) where the row targets(t) agrees with column c of candidates.
 
-    candidates holds the rows as the columns of a C-contiguous (2n, u)
-    array, sorted on keys[0]; keys holds two of its rows and queries the
-    same two columns of the targets, computed as targets(t) computes
-    them; targets(t) returns a (2n, len(t)) block. Agreeing rows are zero
-    at column 0, so each column of their difference is at most eps: a
-    fixed-radius search on two key columns (Bentley & Friedman, ACM
-    Computing Surveys 11(4), 1979). Only a window of keys[0] around each
-    query is taken (Bentley, Stanat & Williams, IPL 1977); a few ulps of
-    slack let rounding add candidates, never drop one, and fmax drops the
-    NaN slack of infinite values. A candidate whose keys[1] differs from
+    candidates holds the rows, halves of n floats, as the columns of a
+    C-contiguous (width, u) array, sorted on keys[0]; keys holds two of
+    its rows and queries the same two columns of the targets, computed
+    as targets(t) computes them; targets(t) returns a (width, len(t))
+    block. Agreeing rows are zero at column 0, so each column of their
+    difference is at most eps: a fixed-radius search on two key columns
+    (Bentley & Friedman, ACM Computing Surveys 11(4), 1979). Only a
+    window of keys[0] around each query is taken (Bentley, Stanat &
+    Williams, IPL 1977); a few ulps of slack let rounding add
+    candidates, never drop one, and fmax drops the NaN slack of infinite
+    values. A candidate whose keys[1] differs from
     the query by more than eps is dropped: that difference is bitwise a
     column of the full one, so the range rule would reject it; a NaN
     difference is kept for the range rule to reject. Windows start no
@@ -194,7 +205,7 @@ def _window_matches(candidates, keys, queries, targets, eps: float, first=0):
     self-join (queries is keys) that passes first = t + 1 finds each pair
     once, since every window reaches past its own query. Index pairs are
     made in blocks of about _CHUNK and rows checked in blocks of about
-    _CHUNK floats, so no (targets x candidates x 2n) tensor is built.
+    _CHUNK floats, so no (targets x candidates x width) tensor is built.
     """
     with np.errstate(over="ignore"):  # eps near the float maximum
         radius = np.fmax(eps + 4 * np.spacing(np.abs(queries[0]) + eps), eps)
@@ -215,7 +226,7 @@ def _window_matches(candidates, keys, queries, targets, eps: float, first=0):
         t, c = t[near], c[near]
         for s in range(0, len(t), step):
             ts, cs = t[s : s + step], c[s : s + step]
-            ok = _rows_agree(targets(ts) - candidates.take(cs, axis=1), eps)
+            ok = _rows_agree(targets(ts) - candidates.take(cs, axis=1), eps, n)
             found_t.append(ts[ok])
             found_c.append(cs[ok])
         t0 = t1
@@ -274,7 +285,7 @@ def equivalent(space: SigmaSpace, v: Vector, w: Vector) -> EquivalenceWitness:
     # The rows of (v0, v1), (v0, w1), (w0, v1) and (w0, w1).
     row_v, _, _, row_w = _probe_rows(space, origins, ends)
     delta = row_v - row_w
-    if _rows_agree(delta, eps):
+    if _rows_agree(delta, eps, n):
         return EquivalenceWitness(equivalent=True)
     # Blocks of probe origins of about _CHUNK floats, in scan order:
     # the first failing probe usually lies in the first block.
@@ -367,6 +378,7 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
         keys,
         lambda t: reps.take(t, axis=1),
         space.tolerance,
+        n,
         first=np.arange(1, reps.shape[1] + 1),
     )
 

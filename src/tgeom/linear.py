@@ -182,9 +182,11 @@ def solve_combination(
 
     A candidate (S0, S1) is a solution when its fingerprint row matches
     the target α·(row of v) + β·(row of w) under the range rule, which
-    is the probe-response match in both argument slots. Every candidate
-    is checked, on the fingerprint rows of all n² vectors. More than
-    limit points are refused; limit=None searches any size.
+    is the probe-response match in both argument slots; on a symmetric
+    σ the rows carry the first slot alone, as the second repeats it by
+    value. Every candidate is checked, on the fingerprint rows of all n²
+    vectors. More than limit points are refused; limit=None searches any
+    size.
     """
     enforce_limit(space, limit, "search")
     v, w = Vector(*v), Vector(*w)
@@ -194,7 +196,7 @@ def solve_combination(
     with np.errstate(over="ignore", invalid="ignore"):
         target = c.alpha * columns[:, v0 * n + v1] + c.beta * columns[:, w0 * n + w1]
         columns -= target[:, None]
-        keep = np.flatnonzero(_rows_agree(columns, space.tolerance))
+        keep = np.flatnonzero(_rows_agree(columns, space.tolerance, n))
 
     points = space.points
     solutions = sorted(Vector(points[k // n], points[k % n]) for k in keep.tolist())
@@ -275,6 +277,7 @@ def survey_linearity(
                 queries,
                 lambda t: scaled_a.take(t // u, axis=1) + scaled_b.take(t % u, axis=1),
                 eps,
+                n,
             )
         solvable = int(weight[np.unique(found)].sum())
 

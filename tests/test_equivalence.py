@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import hashlib
 import itertools
 import math
@@ -163,7 +164,7 @@ def test_fingerprint_agreement_matches_direct_path():
         rows = dict(zip(all_vectors(space), _probe_rows(space)))
         for v, w in itertools.product(all_vectors(space), repeat=2):
             direct = equivalent(space, v, w).equivalent
-            assert direct == _rows_agree(rows[v] - rows[w], space.tolerance)
+            assert direct == _rows_agree(rows[v] - rows[w], space.tolerance, len(space))
 
 
 def _assert_same_floats(a, b):
@@ -172,29 +173,57 @@ def _assert_same_floats(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def _two_half_rows(space, origins=slice(None), ends=slice(None)):
+    """The rows (d | e) of the vectors from each origin to each end, both
+    halves whatever σ is, by the float steps of _probe_rows: each entry
+    one rounded difference, then shifted by its half's column 0."""
+    m = space.matrix
+    n = len(space)
+    o, e = np.arange(n)[origins], np.arange(n)[ends]
+    first = m[o][:, None, :] - m[e][None, :, :]  # σ(P0, Q) - σ(P1, Q)
+    second = m[:, e].T[None, :, :] - m[:, o].T[:, None, :]  # σ(Q, P1) - σ(Q, P0)
+    first = first - first[..., :1]
+    second = second - second[..., :1]
+    return np.concatenate((first, second), axis=2).reshape(-1, 2 * n)
+
+
+def _symmetric_at(space, indices):
+    """Whether σ's row equals its column, by value, at every index."""
+    m = space.matrix
+    return all(np.array_equal(m[k], m[:, k]) for k in indices)
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_probe_rows_of_single_vectors_and_origin_blocks_are_rows_of_the_whole():
     # One builder serves every caller: the rows of one vector, or of a
     # block of origins, are the same floats as the matching rows of all
     # n², -0.0 included, and on a table at |σ| = 2**1018 entries reach
-    # 3·|σ| exactly.
+    # 3·|σ| exactly. A symmetric table's rows carry one half of n
+    # floats, an asymmetric table's both.
     rng = np.random.default_rng(28)
     big = 2.0**1018
     spaces = [
-        make_table(rng, 7),
-        make_table(rng, 6, symmetric=False),
-        build_finite_table(
-            ["A", "B", "C"],
-            [("B", "B", -0.0), ("A", "B", 0.0), ("A", "C", 4.0), ("B", "C", 4.0)],
+        (make_table(rng, 7), 1),
+        (make_table(rng, 6, symmetric=False), 2),
+        (
+            build_finite_table(
+                ["A", "B", "C"],
+                [("B", "B", -0.0), ("A", "B", 0.0), ("A", "C", 4.0), ("B", "C", 4.0)],
+            ),
+            1,
         ),
-        build_finite_table(
-            ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+        (
+            build_finite_table(
+                ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+            ),
+            1,
         ),
     ]
-    for space in spaces:
+    for space, halves in spaces:
         n = len(space)
         rows = _probe_rows(space)
-        assert rows.shape == (n * n, 2 * n)
+        assert rows.shape == (n * n, halves * n)
+        _assert_same_floats(rows, _two_half_rows(space)[:, : halves * n])
         pairs = itertools.product(range(n), repeat=2)
         singles = [_probe_rows(space, [i], [j]) for i, j in pairs]
         blocks = [_probe_rows(space, slice(r, r + 2)) for r in range(0, n, 2)]
@@ -215,15 +244,165 @@ def _selections(draw, n):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_probe_rows_of_any_origins_and_ends_are_rows_of_the_whole(data):
+    # The rows of any origins and ends are the matching rows of the
+    # whole, cut to one half exactly when σ is symmetric at every point
+    # of the call; the whole carries one half exactly when σ is.
     n = data.draw(st.integers(1, 8))
     zeros = st.sampled_from([0.0, -0.0])
     values = st.one_of(zeros, st.floats(-1e6, 1e6))
     m = data.draw(hnp.arrays(np.float64, (n, n), elements=values))
+    if data.draw(st.booleans()):  # mirror some points' rows into their columns
+        mirrored = data.draw(st.lists(st.integers(0, n - 1), max_size=n))
+        m[:, mirrored] = m[mirrored].T
     m[np.diag_indices(n)] = data.draw(hnp.arrays(np.float64, n, elements=zeros))
     space = SigmaSpace([f"P{i}" for i in range(n)], m)
     origins, ends = data.draw(_selections(n)), data.draw(_selections(n))
-    whole = _probe_rows(space).reshape(n, n, 2 * n)[origins][:, ends]
-    _assert_same_floats(_probe_rows(space, origins, ends), whole.reshape(-1, 2 * n))
+    every = np.arange(n)
+    symmetric = _symmetric_at(space, every[origins]) and _symmetric_at(space, every[ends])
+    width = n if symmetric else 2 * n
+    whole = _probe_rows(space)
+    _assert_same_floats(whole, _two_half_rows(space)[:, : whole.shape[1]])
+    assert whole.shape[1] == (n if _symmetric_at(space, every) else 2 * n)
+    expected = _two_half_rows(space).reshape(n, n, 2 * n)[origins][:, ends]
+    _assert_same_floats(
+        _probe_rows(space, origins, ends), expected.reshape(-1, 2 * n)[:, :width]
+    )
+
+
+def _two_half_agree(delta, eps, n):
+    """The range rule on difference rows of 2n floats, one row per row of
+    delta: both halves span at most eps; a NaN span never agrees."""
+    spans = np.ptp(delta.reshape(len(delta), 2, n), axis=2)
+    return (spans <= eps).all(axis=1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetric_rows_are_the_first_half_and_the_second_is_its_negation():
+    # Rounded subtraction is exactly antisymmetric, so where σ equals its
+    # transpose by value the second half of every row is minus the first,
+    # by value: the rows carry the first half alone, bitwise as the
+    # two-half row has it. Grids, random tables, values near ±1e6 where
+    # differences round, |σ| = 2**1018, and σ(A, B) = -0.0 beside
+    # σ(B, A) = +0.0.
+    rng = np.random.default_rng(98)
+    big = 2.0**1018
+    near = np.triu(rng.choice([-1e6, 1e6], (9, 9)) + rng.uniform(-1.0, 1.0, (9, 9)), 1)
+    signed = np.array([[0.0, -0.0, 1.0], [0.0, 0.0, 2.0], [1.0, 2.0, -0.0]])
+    spaces = [
+        build_grid_space(GridSpec(dim=2, size=3)),
+        build_grid_space(GridSpec(dim=2, size=4, deleted=frozenset({(1, 2)}))),
+        make_table(rng, 8),
+        make_table(rng, 5, integer=True),
+        SigmaSpace([f"P{i}" for i in range(9)], near + near.T),
+        build_finite_table(
+            ["A", "B", "C"], [("A", "B", big), ("A", "C", -big), ("B", "C", big)]
+        ),
+        SigmaSpace(["A", "B", "C"], signed),
+    ]
+    for space in spaces:
+        n = len(space)
+        rows, two = _probe_rows(space), _two_half_rows(space)
+        assert rows.shape == (n * n, n)
+        _assert_same_floats(rows, two[:, :n])
+        assert np.array_equal(two[:, n:], -two[:, :n])
+    # An asymmetric table keeps both halves, and they are not negations.
+    space = make_table(rng, 6, symmetric=False)
+    two = _two_half_rows(space)
+    _assert_same_floats(_probe_rows(space), two)
+    assert not np.array_equal(two[:, 6:], -two[:, :6])
+
+
+_EXACT_VALUES = st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, -3.0, 4.5])
+# Exact steps from the values above, then coefficients that overflow.
+_SMALL_COEFFICIENTS = [0.0, -0.0, 0.5, -1.0, 1.0, 2.0]
+_SYMMETRIC_COEFFICIENTS = st.sampled_from(_SMALL_COEFFICIENTS + [1e308, -1e308])
+
+
+@st.composite
+def symmetric_tables(draw):
+    """Tables of 1 to 8 points equal to their transpose by value.
+
+    Values are small dyadic numbers, so every sum either rule forms is
+    exact; a zero's sign is drawn apart on the two sides of the
+    diagonal, so the table need not equal its transpose in bits.
+    """
+    n = draw(st.integers(1, 8))
+    upper = np.triu_indices(n, 1)
+    count = len(upper[0])
+    values = np.array(draw(st.lists(_EXACT_VALUES, min_size=count, max_size=count)))
+    flips = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)), bool)
+    m = np.zeros((n, n))
+    m[upper] = values
+    m[upper[::-1]] = np.where(flips & (values == 0.0), -values, values)
+    diagonal = st.sampled_from([0.0, -0.0])
+    m[np.diag_indices(n)] = draw(st.lists(diagonal, min_size=n, max_size=n))
+    eps = draw(st.sampled_from([0.0, 0.5]))
+    return SigmaSpace([f"P{i}" for i in range(n)], m, tolerance=eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_tables(), st.data())
+def test_symmetric_tables_decide_as_the_two_half_rule_and_the_oracle(space, data):
+    # On one-half rows every decision is the one the two-half rule makes
+    # on rows written with both halves, and, where no coefficient
+    # overflows, the oracle's: every sum here is exact.
+    n, eps = len(space), space.tolerance
+    vectors = all_vectors(space)
+    two = _two_half_rows(space)
+    _assert_same_floats(_probe_rows(space), two[:, :n])
+    assert np.array_equal(two[:, n:], -two[:, :n])
+
+    agree = _two_half_agree(
+        (two[:, None] - two[None]).reshape(-1, 2 * n), eps, n
+    ).reshape(n * n, n * n)
+    pick = st.integers(0, n * n - 1)
+    for _ in range(12):
+        i, j = data.draw(pick), data.draw(pick)
+        decided = equivalent(space, vectors[i], vectors[j]).equivalent
+        assert decided == agree[i, j] == brute_force_equivalent(space, vectors[i], vectors[j])
+    partition = equivalence_classes(space)
+    index = {v: k for k, v in enumerate(vectors)}
+
+    def related(v, w):
+        return agree[index[v], index[w]]
+
+    assert partition.classes == _oracle_partition(space, related)
+    assert partition.coherent == all(
+        related(a, b) for cls in partition.classes for a, b in itertools.combinations(cls, 2)
+    )
+    if n <= 4:
+        assert partition.classes == _oracle_partition(space)
+
+    coeffs = [
+        Coefficients(data.draw(_SYMMETRIC_COEFFICIENTS), data.draw(_SYMMETRIC_COEFFICIENTS))
+        for _ in range(2)
+    ]
+    # A few solver requests (vectors[i], vectors[requests[i]]) per
+    # coefficient pair.
+    requests = {data.draw(pick): data.draw(pick) for _ in range(3)}
+    for c in coeffs:
+        small = abs(c.alpha) <= 2 and abs(c.beta) <= 2
+        solvable = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n * n):
+                targets = c.alpha * two[i] + c.beta * two  # w runs down axis 0
+                delta = (two[None] - targets[:, None]).reshape(-1, 2 * n)
+                found = _two_half_agree(delta, eps, n).reshape(n * n, n * n)
+                solvable += int(found.any(axis=1).sum())
+                if i in requests:
+                    j = requests[i]
+                    v, w = vectors[i], vectors[j]
+                    expected = [vectors[k] for k in np.flatnonzero(found[j])]
+                    assert list(solve_combination(space, c, v, w).solutions) == expected
+                    if small:
+                        assert expected == brute_force_solve(space, c, v, w)
+        (row,) = survey_linearity(space, [c]).rows
+        assert row.solvable == solvable
+        if small and n <= 3:
+            assert solvable == sum(
+                bool(brute_force_solve(space, c, v, w))
+                for v, w in itertools.product(vectors, repeat=2)
+            )
 
 
 def test_witness_present_iff_not_equivalent():
@@ -268,19 +447,21 @@ def test_full_grid_partition_counts(grid22):
         assert len(displacements) == 1
 
 
-def _oracle_partition(space):
-    """Classes of the closure of the oracle's relation, sorted as the
-    partition sorts them.
+def _oracle_partition(space, related=None):
+    """Classes of the closure of the oracle's relation, or of related,
+    sorted as the partition sorts them.
 
     Each class is grown breadth first: every vector still unclassified
-    that the oracle relates to a member joins it.
+    that the relation relates to a member joins it.
     """
+    if related is None:
+        related = functools.partial(brute_force_equivalent, space)
     unseen = all_vectors(space)
     classes = []
     while unseen:
         members = [unseen.pop(0)]
         for v in members:  # members grows while it is walked
-            linked = [w for w in unseen if brute_force_equivalent(space, v, w)]
+            linked = [w for w in unseen if related(v, w)]
             unseen = [w for w in unseen if w not in linked]
             members.extend(linked)
         classes.append(tuple(sorted(members)))
@@ -389,21 +570,22 @@ def test_components_match_breadth_first_search():
     assert (_components(*graphs[1]) == np.arange(7)).all()
 
 
-def _self_join_pairs(reps, keys, eps, first=0):
+def _self_join_pairs(reps, keys, eps, n, first=0):
     def own(t):
         return reps.take(t, axis=1)
 
-    t, c = _window_matches(reps, keys, keys, own, eps, first=first)
+    t, c = _window_matches(reps, keys, keys, own, eps, n, first=first)
     return set(zip(t.tolist(), c.tolist()))
 
 
-def _all_pairs(candidates, targets, eps):
+def _all_pairs(candidates, targets, eps, n):
     """Every pair (t, c) of columns that agree, by the range rule on all pairs."""
     u = candidates.shape[1]
     pairs = set()
     for t0 in range(0, targets.shape[1], 64):
         delta = targets[:, t0 : t0 + 64, None] - candidates[:, None, :]
-        t, c = np.divmod(np.flatnonzero(_rows_agree(delta.reshape(len(delta), -1), eps)), u)
+        agree = _rows_agree(delta.reshape(len(delta), -1), eps, n)
+        t, c = np.divmod(np.flatnonzero(agree), u)
         pairs.update(zip((t + t0).tolist(), c.tolist()))
     return pairs
 
@@ -422,18 +604,19 @@ def test_one_sided_self_join_finds_each_pair_once(monkeypatch, chunk):
     tied = rng.integers(0, 4, size=(8, 60)).astype(float)
     tied[[0, 4]] = 0.0  # each half zero at column 0, as fingerprint rows are
     tied = tied[:, np.argsort(tied[2], kind="stable")]
-    inputs = [(np.ascontiguousarray(tied), tied[[2, 3]], 1.0)]
+    inputs = [(np.ascontiguousarray(tied), tied[[2, 3]], 1.0, 4)]
     for scale in (0.125, 0.25, 0.5, 1.0):
         space = perturbed_grid(rng, 3, scale)
         reps, keys, _, _ = _fingerprint_index(space)
-        inputs.append((reps, keys, space.tolerance))
+        inputs.append((reps, keys, space.tolerance, len(space)))
     matched = 0
-    for reps, keys, eps in inputs:
-        full = _self_join_pairs(reps, keys, eps)
-        assert full == _all_pairs(reps, reps, eps)
+    for reps, keys, eps, n in inputs:
+        full = _self_join_pairs(reps, keys, eps, n)
+        assert full == _all_pairs(reps, reps, eps, n)
         below = {(t, c) for t, c in full if t < c}
         assert {(c, t) for t, c in full if t > c} == below
-        one_sided = _self_join_pairs(reps, keys, eps, np.arange(1, reps.shape[1] + 1))
+        first = np.arange(1, reps.shape[1] + 1)
+        one_sided = _self_join_pairs(reps, keys, eps, n, first)
         assert one_sided == below
         matched += len(below)
     assert matched > 0
@@ -456,7 +639,7 @@ def test_two_key_join_of_survey_targets_equals_all_pairs(monkeypatch, chunk):
     overflowed = False
     for space in [at_bound] + [perturbed_grid(rng, 3, scale) for scale in (0.125, 1.0)]:
         reps, keys, _, _ = _fingerprint_index(space)
-        eps = space.tolerance
+        eps, n = space.tolerance, len(space)
         # Which rows of reps the two keys are, to read them off the targets.
         columns = [int(np.flatnonzero((reps == key).all(axis=1))[0]) for key in keys]
         with np.errstate(over="ignore", invalid="ignore"):
@@ -466,9 +649,9 @@ def test_two_key_join_of_survey_targets_equals_all_pairs(monkeypatch, chunk):
             for a, b in ((1.0, 1.0), (2.0, -1.0), (1e308, 1e308)):
                 every = (a * rows[:, :9, None] + b * rows[:, None, :]).reshape(len(rows), -1)
                 t, c = _window_matches(
-                    reps, keys, every[columns], lambda t: every.take(t, axis=1), eps
+                    reps, keys, every[columns], lambda t: every.take(t, axis=1), eps, n
                 )
-                assert set(zip(t.tolist(), c.tolist())) == _all_pairs(reps, every, eps)
+                assert set(zip(t.tolist(), c.tolist())) == _all_pairs(reps, every, eps, n)
                 overflowed |= bool(np.isnan(every).any() and np.isinf(every).any())
     assert overflowed
 
@@ -794,7 +977,7 @@ def test_reversed_vectors_and_negated_rows_keep_their_own_groups():
             rows = _probe_rows(space)
             reverse = np.arange(n * n).reshape(n, n).T.ravel()
             assert np.array_equal(rows[reverse], -rows)
-            negated = np.stack((rows, -rows), axis=1).reshape(-1, 2 * n)
+            negated = np.stack((rows, -rows), axis=1).reshape(-1, rows.shape[1])
             for case in (rows, negated, negated[rng.permutation(len(negated))]):
                 _assert_same_partition_as_numpy(case)
                 distinct = len(_unique_rows(case)[0])
@@ -896,21 +1079,25 @@ def _patched_results(space, key):
 
 
 def test_results_do_not_depend_on_the_sort_key():
-    # Every column as the sort key, even an all-zero one, gives the same
-    # partition and survey: the key changes only the speed of a join.
+    # Every column the rows carry as the sort key, even an all-zero one,
+    # gives the same partition and survey: the key changes only the
+    # speed of a join. The symmetric grid's rows carry n columns, the
+    # asymmetric spaces' 2n.
     rng = np.random.default_rng(97)
     spaces = [
-        build_grid_space(GridSpec(dim=2, size=3)),
-        perturbed_grid(np.random.default_rng(93), 3, 0.25),
-        make_table(rng, 5, symmetric=False),
+        (build_grid_space(GridSpec(dim=2, size=3)), 1),
+        (perturbed_grid(np.random.default_rng(93), 3, 0.25), 2),
+        (make_table(rng, 5, symmetric=False), 2),
     ]
-    for space in spaces:
+    for space, halves in spaces:
+        width = _fingerprint_index(space)[0].shape[0]
+        assert width == halves * len(space)
         expected = _patched_results(space, None)
-        for key in range(2 * len(space)):
+        for key in range(width):
             assert _patched_results(space, key) == expected, key
     # The perturbed grid takes the closure path, the random table not.
-    assert _patched_results(spaces[1], None)[1] == "union-find"
-    assert _patched_results(spaces[2], None)[1] == "fingerprint-buckets"
+    assert _patched_results(spaces[1][0], None)[1] == "union-find"
+    assert _patched_results(spaces[2][0], None)[1] == "fingerprint-buckets"
 
 
 def _class_digest(partition):

@@ -15,6 +15,7 @@ from tgeom import (
     GuaranteedCase,
     NotGuaranteed,
     SearchLimitExceeded,
+    SigmaSpace,
     Vector,
     build_grid_space,
     chain_sum,
@@ -369,25 +370,68 @@ def test_overflowed_coefficients_match_the_oracle_on_the_exact_grid(grid33):
     assert defined > 0
 
 
+def _solve_peak(space, c, v, w):
+    """The result of one solve and the peak of its traced allocations."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        result = solve_combination(space, c, v, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_one_solve_peaks_near_its_probe_rows():
-    # The 40-point grid of the benchmark's queries workload. The rows of
-    # all n² candidates take 16·n³ bytes; the target is subtracted from
-    # them in place, so a fresh copy (about 2.1 times that) fails here.
+    # The 40-point grid of the benchmark's queries workload. σ is
+    # symmetric, so the rows of all n² candidates carry one half each,
+    # 8·n³ bytes; the target is subtracted from them in place, so a
+    # fresh copy, or rows written with both halves, fails here.
     deleted = {(3, 2), (5, 4), (6, 6), (0, 6), (2, 5), (4, 1), (1, 3), (6, 0), (3, 4)}
     grid = build_grid_space(GridSpec(dim=2, size=7, deleted=frozenset(deleted)))
     n = len(grid)
     assert n == 40
     c, v, w = Coefficients(2.0, -1.0), Vector("p0_0", "p1_1"), Vector("p0_1", "p2_0")
-    if tracemalloc.is_tracing():
-        pytest.skip("tracemalloc is already tracing")
-    tracemalloc.start()
-    try:
-        result = solve_combination(grid, c, v, w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    result, peak = _solve_peak(grid, c, v, w)
     assert result.defined
+    assert peak <= 1.5 * 8 * n**3
+
+
+def test_one_asymmetric_solve_peaks_near_its_probe_rows():
+    # On an asymmetric 40-point table the rows carry both halves, 16·n³
+    # bytes, held to the same bound relative to their size.
+    space = make_table(np.random.default_rng(41), 40, symmetric=False)
+    n = len(space)
+    v = Vector("P3", "P17")
+    result, peak = _solve_peak(space, Coefficients(2.0, -1.0), v, v)
+    assert v in result.solutions
     assert peak <= 1.5 * 16 * n**3
+
+
+def test_gauge_shifted_grid_keeps_the_grid_counts():
+    # σ'(P, Q) = σ(P, Q) + f(Q) - f(P) with small integers f is not
+    # symmetric, so its rows carry both halves; yet each half of every
+    # row only moves by a constant, which the shift to column 0 removes,
+    # so every count and solution is the grid's. The counts are those
+    # the CI survey step pins for the same grid.
+    deleted = frozenset({(1, 2)})
+    grid = build_grid_space(GridSpec(dim=2, size=4, deleted=deleted))
+    f = np.random.default_rng(42).integers(-3, 4, len(grid)).astype(float)
+    shifted = SigmaSpace(grid.points, grid.matrix + f[None, :] - f[:, None])
+    assert not np.array_equal(shifted.matrix, shifted.matrix.T)
+    coeffs = [Coefficients(1.0, 1.0), Coefficients(2.0, -1.0)]
+    rows = survey_linearity(shifted, coeffs).rows
+    assert [(r.total_pairs, r.solvable, r.guaranteed) for r in rows] == [
+        (50625, 38563, 6525),
+        (50625, 20851, 0),
+    ]
+    assert survey_linearity(grid, coeffs) == survey_linearity(shifted, coeffs)
+    for c, v, w in (
+        (coeffs[0], Vector("p0_0", "p1_0"), Vector("p1_0", "p1_1")),
+        (coeffs[1], Vector("p0_0", "p1_1"), Vector("p0_1", "p2_0")),
+    ):
+        assert solve_combination(shifted, c, v, w) == solve_combination(grid, c, v, w)
 
 
 def test_all_chained_pairs_solvable(grid22_deleted):
