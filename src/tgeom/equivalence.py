@@ -152,7 +152,7 @@ def _sort_key(distinct: np.ndarray) -> int:
     of sorting every row. Ties go to the first such column.
     """
     sample = np.sort(distinct[:_KEY_SAMPLE], axis=0)
-    return int(np.argmax(np.count_nonzero(np.diff(sample, axis=0), axis=0)))
+    return int(np.argmax(np.count_nonzero(sample[1:] - sample[:-1], axis=0)))
 
 
 def _fingerprint_index(space: SigmaSpace):
@@ -163,10 +163,11 @@ def _fingerprint_index(space: SigmaSpace):
     as _probe_rows chose, since window checks reduce down columns; keys
     holds two rows of reps: the sort key, by which reps is sorted
     ascending, then the column that splits the most neighbours within
-    the tolerance in that order, which prefilters window candidates; sizes[k] counts the vectors with representative
-    k; position[v] is the representative of vector v. The sort key is
-    chosen by _sort_key on a sample of the distinct rows; the keys
-    change only the speed of a window join, never its pairs.
+    the tolerance in that order, which prefilters window candidates;
+    sizes[k] counts the vectors with representative k; position[v] is
+    the representative of vector v. The sort key is chosen by _sort_key
+    on a sample of the distinct rows; the keys change only the speed of
+    a window join, never its pairs.
     """
     distinct, inverse, sizes = _unique_rows(_probe_rows(space))
     key = _sort_key(distinct)
@@ -178,7 +179,7 @@ def _fingerprint_index(space: SigmaSpace):
     # Neighbours in key order that the key cannot tell apart share a
     # window: the second key is the column that tells most of them apart.
     eps = space.tolerance
-    near = np.flatnonzero(np.diff(reps[key]) <= eps)
+    near = np.flatnonzero(reps[key, 1:] - reps[key, :-1] <= eps)
     split = np.count_nonzero(np.abs(reps[:, near + 1] - reps[:, near]) > eps, axis=1)
     split[key] = -1
     return reps, reps[[key, int(np.argmax(split))]], sizes[order], position
@@ -404,7 +405,14 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     # tuple.__new__ skips the namedtuple's Python-level __new__.
     ends_of = zip(names[grouped // n], names[grouped % n])
     vectors = list(map(tuple.__new__, itertools.repeat(Vector), ends_of))
-    ends = np.cumsum(members[np.argsort(leader)]).tolist()
-    classes = tuple(tuple(vectors[s:e]) for s, e in zip([0] + ends, ends))
+    counts = members[np.argsort(leader)]
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    # Every class as the 1-tuple of its first member, built at C speed;
+    # then the classes of two or more members replace theirs.
+    classes = list(zip(map(vectors.__getitem__, starts)))
+    for k in np.flatnonzero(counts > 1).tolist():
+        classes[k] = tuple(vectors[starts[k] : ends[k]])
+    classes = tuple(classes)
     method = "union-find" if len(a) else "fingerprint-buckets"
     return ClassPartition(classes=classes, method=method, coherent=coherent)

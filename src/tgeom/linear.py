@@ -279,7 +279,11 @@ def survey_linearity(
                 eps,
                 n,
             )
-        solvable = int(weight[np.unique(found)].sum())
+        # A target is solvable once, however many representatives it
+        # matches: a mask over the u² targets, with no sort or hash.
+        hit = np.zeros(len(weight), dtype=bool)
+        hit[found] = True
+        solvable = int(weight[hit].sum())
 
         pattern = _coefficient_pattern(a, b)
         if pattern in (GuaranteedCase.ZERO, GuaranteedCase.SINGLE_VECTOR):

@@ -26,6 +26,7 @@ from tgeom import (
     solve_combination,
     survey_linearity,
 )
+from tgeom.equivalence import _fingerprint_index
 from tgeom.oracle import brute_force_solve
 
 from conftest import make_table, perturbed_grid
@@ -307,16 +308,28 @@ def test_survey_guaranteed_count_closed_form(n):
         assert row.guaranteed == manual == 2 * n**3 - n**2
 
 
-def _assert_survey_matches_solver(space):
-    c = Coefficients(1.0, 1.0)
+def _assert_survey_matches_solver(space, c=Coefficients(1.0, 1.0)):
+    """The survey's solvable count is the solver's, pair by pair.
+
+    Returns the most distinct fingerprint rows (survey representatives)
+    among the solutions of one pair: where it is two or more, a survey
+    target matches several representatives and must still count once.
+    """
     row = survey_linearity(space, [c]).rows[0]
+    n = len(space)
+    position = _fingerprint_index(space)[3]
     vectors = [Vector(p, q) for p in space.points for q in space.points]
-    manual = sum(
-        1
-        for v, w in itertools.product(vectors, repeat=2)
-        if solve_combination(space, c, v, w).defined
-    )
+    manual = most = 0
+    for v, w in itertools.product(vectors, repeat=2):
+        solutions = solve_combination(space, c, v, w).solutions
+        manual += bool(solutions)
+        reps = {
+            position[space.index(s.origin) * n + space.index(s.end)]
+            for s in solutions
+        }
+        most = max(most, len(reps))
     assert row.solvable == manual
+    return most
 
 
 def test_survey_solvable_matches_solver(grid22_deleted):
@@ -333,7 +346,7 @@ def test_solver_epsilon_boundary_stress_matches_oracle(size, deleted):
     rng = np.random.default_rng(40 + size)
     coeffs = [Coefficients(a, b) for a, b in ((1, 1), (1, -1), (2, -1), (0.5, 0.5))]
     grid = build_grid_space(GridSpec(dim=2, size=size, deleted=frozenset(deleted)))
-    dropped = 0
+    dropped = most = 0
     for scale in (0.125, 0.25, 0.5):
         space = perturbed_grid(rng, size, scale, deleted)
         points = space.points
@@ -345,8 +358,12 @@ def test_solver_epsilon_boundary_stress_matches_oracle(size, deleted):
             assert list(fast) == brute_force_solve(space, c, v, w), (scale, c, v, w)
             dropped += len(solve_combination(grid, c, v, w).solutions) - len(fast)
         if size == 3:
-            _assert_survey_matches_solver(space)
+            for c in (coeffs[0], coeffs[2], coeffs[3]):  # (1, 1), (2, -1), (0.5, 0.5)
+                most = max(most, _assert_survey_matches_solver(space, c))
     assert dropped > 0  # the perturbations straddle ε
+    if size == 3:
+        # Some survey target matches two or more representatives.
+        assert most >= 2
 
 
 def test_overflowed_coefficients_match_the_oracle_on_the_exact_grid(grid33):
