@@ -405,14 +405,7 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     # tuple.__new__ skips the namedtuple's Python-level __new__.
     ends_of = zip(names[grouped // n], names[grouped % n])
     vectors = list(map(tuple.__new__, itertools.repeat(Vector), ends_of))
-    counts = members[np.argsort(leader)]
-    ends = np.cumsum(counts).tolist()
-    starts = [0] + ends[:-1]
-    # Every class as the 1-tuple of its first member, built at C speed;
-    # then the classes of two or more members replace theirs.
-    classes = list(zip(map(vectors.__getitem__, starts)))
-    for k in np.flatnonzero(counts > 1).tolist():
-        classes[k] = tuple(vectors[starts[k] : ends[k]])
-    classes = tuple(classes)
+    ends = np.cumsum(members[np.argsort(leader)]).tolist()
+    classes = tuple(tuple(vectors[s:e]) for s, e in zip([0] + ends, ends))
     method = "union-find" if len(a) else "fingerprint-buckets"
     return ClassPartition(classes=classes, method=method, coherent=coherent)

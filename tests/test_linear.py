@@ -358,7 +358,7 @@ def test_solver_epsilon_boundary_stress_matches_oracle(size, deleted):
             assert list(fast) == brute_force_solve(space, c, v, w), (scale, c, v, w)
             dropped += len(solve_combination(grid, c, v, w).solutions) - len(fast)
         if size == 3:
-            for c in (coeffs[0], coeffs[2], coeffs[3]):  # (1, 1), (2, -1), (0.5, 0.5)
+            for c in (coeffs[0], coeffs[3]):  # (1, 1) and (0.5, 0.5)
                 most = max(most, _assert_survey_matches_solver(space, c))
     assert dropped > 0  # the perturbations straddle ε
     if size == 3:
