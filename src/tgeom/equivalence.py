@@ -28,7 +28,7 @@ SIDE_FIRST = "first-slot"
 SIDE_SECOND = "second-slot"
 
 _CHUNK = 1 << 13  # floats per temporary array when checking candidates
-_KEY_SAMPLE = 64  # distinct rows whose values choose the sort key column
+_KEY_SAMPLE = 64  # distinct rows whose gaps choose the sort key column
 # splitmix64 constants, for the per-column weights of _row_hashes.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -144,15 +144,12 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return distinct, inverse, np.bincount(group, minlength=len(first))
 
 
-def _sort_key(distinct: np.ndarray) -> int:
-    """The column of most distinct values among the first _KEY_SAMPLE rows.
-
-    distinct holds distinct rows in hash order, so the sample is fixed
-    and spread over the rows, and sorting its columns costs a fraction
-    of sorting every row. Ties go to the first such column.
+def _splitting_column(low: np.ndarray, high: np.ndarray, eps: float) -> int:
+    """The row of two (width, k) arrays in which the most of the k column
+    pairs lie more than eps apart. Ties go to the first such row, so no
+    pairs at all give row 0.
     """
-    sample = np.sort(distinct[:_KEY_SAMPLE], axis=0)
-    return int(np.argmax(np.count_nonzero(sample[1:] - sample[:-1], axis=0)))
+    return int(np.argmax(np.count_nonzero(np.abs(high - low) > eps, axis=1)))
 
 
 def _fingerprint_index(space: SigmaSpace):
@@ -161,28 +158,28 @@ def _fingerprint_index(space: SigmaSpace):
     Returns (reps, keys, sizes, position): reps is a C-contiguous
     (width, u) array whose column k is representative k, width n or 2n
     as _probe_rows chose, since window checks reduce down columns; keys
-    holds two rows of reps: the sort key, by which reps is sorted
-    ascending, then the column that splits the most neighbours within
-    the tolerance in that order, which prefilters window candidates;
+    holds two rows of reps, the sort key, by which reps is sorted
+    ascending, then a second key that prefilters window candidates;
     sizes[k] counts the vectors with representative k; position[v] is
-    the representative of vector v. The sort key is chosen by _sort_key
-    on a sample of the distinct rows; the keys change only the speed of
-    a window join, never its pairs.
+    the representative of vector v. _splitting_column picks both keys:
+    the key from neighbours in each column's sorted values over the
+    first _KEY_SAMPLE distinct rows in hash order, the second from
+    neighbours in key order within the tolerance of each other. The
+    keys change only the speed of a window join, never its pairs.
     """
+    eps = space.tolerance
     distinct, inverse, sizes = _unique_rows(_probe_rows(space))
-    key = _sort_key(distinct)
+    sample = np.sort(distinct[:_KEY_SAMPLE].T, axis=1)
+    key = _splitting_column(sample[:, :-1], sample[:, 1:], eps)
     order = np.argsort(distinct[:, key], kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     position = rank[inverse]
     reps = distinct.T.take(order, axis=1)
-    # Neighbours in key order that the key cannot tell apart share a
-    # window: the second key is the column that tells most of them apart.
-    eps = space.tolerance
+    # Window-mates: neighbours in key order within eps of each other.
     near = np.flatnonzero(reps[key, 1:] - reps[key, :-1] <= eps)
-    split = np.count_nonzero(np.abs(reps[:, near + 1] - reps[:, near]) > eps, axis=1)
-    split[key] = -1
-    return reps, reps[[key, int(np.argmax(split))]], sizes[order], position
+    second = _splitting_column(reps[:, near], reps[:, near + 1], eps)
+    return reps, reps[[key, second]], sizes[order], position
 
 
 def _window_matches(candidates, keys, queries, targets, eps: float, n: int, first=0):

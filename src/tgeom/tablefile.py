@@ -415,9 +415,10 @@ def load_space(path: str | Path, tolerance: float | None = None) -> SigmaSpace:
 
 
 # sigma: lines per block of format_space. Its (block, 3) object array
-# takes 24 bytes a line, 192 KiB in all, under glibc's 256 KiB mmap
-# threshold. Only one block's pieces exist at a time beside the text
-# made so far.
+# takes 24 bytes a line, 192 KiB in all, past glibc's default 128 KiB
+# mmap threshold; glibc raises the threshold to the size of a freed
+# mmapped block, up to 32 MiB on 64-bit (mallopt(3)). Only one block's
+# pieces exist at a time beside the text made so far.
 _LINES = 1 << 13
 
 

@@ -38,6 +38,7 @@ from tgeom.equivalence import (
     _fingerprint_index,
     _probe_rows,
     _rows_agree,
+    _splitting_column,
     _unique_rows,
     _window_matches,
 )
@@ -1068,21 +1069,93 @@ def test_hash_collisions_are_split_bytewise(forced):
     assert min(distinct[:-1]) > 1 and distinct[-1] == 1
 
 
-def _patched_results(space, key):
-    coeffs = [Coefficients(1.0, 1.0), Coefficients(2.0, -1.0)]
+def test_splitting_column_counts_gaps_wider_than_the_tolerance():
+    low = np.zeros((4, 3))
+    high = np.array(
+        [
+            [0.0, 0.0, 0.75],  # one gap
+            [0.5, -0.5, 0.5],  # gaps of exactly eps: none counts
+            [0.75, 0.0, -0.75],  # two gaps, either sign
+            [0.0, -1.0, 2.0],  # two gaps: a tie goes to the row before
+        ]
+    )
+    assert _splitting_column(low, high, 0.5) == 2
+    assert _splitting_column(low[::-1], high[::-1], 0.5) == 0
+    assert _splitting_column(low, high, 0.0) == 1
+    assert _splitting_column(low[:, :0], high[:, :0], 0.5) == 0
+    # No pairs at all give row 0: a 1-point space has one distinct row,
+    # so neither key has pairs to count, and on random tables no two
+    # neighbours in key order lie within eps, so the second key has none.
+    seen = []
+
+    def spy(low, high, eps):
+        seen.append((low.shape[1], _splitting_column(low, high, eps)))
+        return seen[-1][1]
+
+    rng = np.random.default_rng(98)
     with pytest.MonkeyPatch.context() as patch:
-        if key is not None:
-            patch.setattr(equivalence, "_sort_key", lambda distinct: key)
+        patch.setattr(equivalence, "_splitting_column", spy)
+        _fingerprint_index(SigmaSpace(["A"], [[0.0]]))
+        _fingerprint_index(make_table(rng, 5, symmetric=True))
+        _fingerprint_index(make_table(rng, 5, symmetric=False))
+    assert seen[:2] == [(0, 0), (0, 0)]
+    assert seen[3] == seen[5] == (0, 0) and seen[2][0] > 0 and seen[4][0] > 0
+
+
+def _window_sizes(values, eps):
+    """Sum over the values of how many values lie within eps of each."""
+    values = np.sort(values)
+    within = np.searchsorted(values, values + eps, "right")
+    return int((within - np.searchsorted(values, values - eps, "left")).sum())
+
+
+def test_sort_key_keeps_windows_narrow_on_a_deformed_grid():
+    # On a deformed grid every column holds as many distinct values as
+    # there are rows, so a count of distinct values cannot rank the
+    # columns; gaps wider than eps can. The key's ε-windows hold under
+    # half the window-mates of the column with the most distinct values.
+    # On the exact grid the two rules pick the same column.
+    exact = build_grid_space(GridSpec(dim=2, size=4, deleted=frozenset({(1, 2)})))
+    deformed = perturbed_grid(np.random.default_rng(93), 4, 0.25, {(1, 2)})
+    sums = []
+    for space in (exact, deformed):
+        reps, keys, _, _ = _fingerprint_index(space)
+        distinct = [len(np.unique(column)) for column in reps]
+        most = reps[int(np.argmax(distinct))]
+        sums.append([_window_sizes(k, space.tolerance) for k in (keys[0], most)])
+    assert sums[0] == [95, 95]
+    assert 2 * sums[1][0] < sums[1][1]
+
+
+def _patched_results(space, forced=None):
+    # forced = (call, column): in every index build, the _splitting_column
+    # call that picks the key (call 0) or the second key (call 1) returns
+    # column instead.
+    coeffs = [Coefficients(1.0, 1.0), Coefficients(2.0, -1.0)]
+    calls = itertools.count()
+
+    def chosen(low, high, eps):
+        picked = _splitting_column(low, high, eps)
+        return forced[1] if next(calls) % 2 == forced[0] else picked
+
+    with pytest.MonkeyPatch.context() as patch:
+        if forced is not None:
+            patch.setattr(equivalence, "_splitting_column", chosen)
         partition = equivalence_classes(space)
         survey = survey_linearity(space, coeffs)
+        reps, keys, _, _ = _fingerprint_index(space)
+    if forced is not None:
+        assert next(calls) == 6
+        _assert_same_floats(keys[forced[0]], reps[forced[1]])
     return partition.classes, partition.method, partition.coherent, survey
 
 
-def test_results_do_not_depend_on_the_sort_key():
-    # Every column the rows carry as the sort key, even an all-zero one,
-    # gives the same partition and survey: the key changes only the
-    # speed of a join. The symmetric grid's rows carry n columns, the
-    # asymmetric spaces' 2n.
+@pytest.mark.parametrize("call", [0, 1], ids=["key", "second-key"])
+def test_results_do_not_depend_on_the_key_columns(call):
+    # Every column the rows carry as the sort key, and separately as the
+    # second key, even an all-zero one or the key itself, gives the same
+    # partition and survey: the keys change only the speed of a join.
+    # The symmetric grid's rows carry n columns, the asymmetric spaces' 2n.
     rng = np.random.default_rng(97)
     spaces = [
         (build_grid_space(GridSpec(dim=2, size=3)), 1),
@@ -1092,12 +1165,12 @@ def test_results_do_not_depend_on_the_sort_key():
     for space, halves in spaces:
         width = _fingerprint_index(space)[0].shape[0]
         assert width == halves * len(space)
-        expected = _patched_results(space, None)
-        for key in range(width):
-            assert _patched_results(space, key) == expected, key
+        expected = _patched_results(space)
+        for column in range(width):
+            assert _patched_results(space, (call, column)) == expected, column
     # The perturbed grid takes the closure path, the random table not.
-    assert _patched_results(spaces[1][0], None)[1] == "union-find"
-    assert _patched_results(spaces[2][0], None)[1] == "fingerprint-buckets"
+    assert _patched_results(spaces[1][0])[1] == "union-find"
+    assert _patched_results(spaces[2][0])[1] == "fingerprint-buckets"
 
 
 def _class_digest(partition):
