@@ -27,7 +27,7 @@ from .vectors import Vector, _four_term
 SIDE_FIRST = "first-slot"
 SIDE_SECOND = "second-slot"
 
-_CHUNK = 1 << 13  # floats per temporary array when checking candidates
+_CHUNK = 1 << 13  # floats per temporary array: row hashes, proofs, checks
 _KEY_SAMPLE = 64  # distinct rows whose gaps choose the sort key column
 # splitmix64 constants, for the per-column weights of _row_hashes.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -99,27 +99,34 @@ def _row_hashes(words: np.ndarray) -> np.ndarray:
 
 
 def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a finite 2-D array, each row's group, and group sizes.
+    """Groups of equal rows of a finite 2-D array: first, inverse, sizes.
 
     The partition of np.unique(rows, axis=0), from one sort of 64-bit row
-    hashes. Adding 0.0 folds -0.0 into +0.0, after which equal finite
-    floats have equal bytes. Each word w is mixed to w ^ (w >> 31) before
-    hashing. Negating a float flips its top bit, which adds 2**63 to any
-    odd multiple of the raw word, so a plain weighted sum would give a
-    row with an even number of nonzero floats the hash of its negation,
-    the row of the reversed vector. Rows with equal hashes form a group,
-    and every row is then proved bytewise equal to the group's first
-    row, so equal rows always share a group and the hash never decides
-    equality: the proof compares mixed words, and the mix is a
-    bijection. A group that fails the proof holds a hash collision; the
-    colliding groups are split by a byte-key np.unique over their rows
-    alone. The distinct rows are one row of rows per group, in hash
-    order and in the layout of rows; the groups are those of np.unique,
-    only their order differs.
+    hashes. Rows are hashed in blocks of at most _CHUNK floats, so no
+    copy of rows is made: adding 0.0 folds -0.0 into +0.0, after which
+    equal finite floats have equal bytes, and each word w is mixed to
+    w ^ (w >> 31). Negating a float flips its top bit, which adds 2**63
+    to any odd multiple of the raw word, so a plain weighted sum would
+    give a row with an even number of nonzero floats the hash of its
+    negation, the row of the reversed vector. Rows with equal hashes form
+    a group, and every row is then proved equal by value to the group's
+    first row, also in blocks of _CHUNK floats, so equal rows always
+    share a group and the hash never decides equality. On finite floats
+    == is byte equality after the fold, and the mix is a bijection, so
+    the proof groups rows as their mixed words would. A group that fails
+    the proof holds a hash collision; the rows of the colliding groups
+    alone are folded and split by a byte-key np.unique. first[g] is the
+    number of the first row of group g, groups in hash order; inverse[r]
+    is the group of row r and sizes[g] counts its rows. The groups are
+    those of np.unique, only their order differs.
     """
-    words = (rows + 0.0).view(np.uint64)
-    words ^= words >> 31
-    hashes = _row_hashes(words)
+    columns = rows.T
+    step = max(1, _CHUNK // rows.shape[1])
+    hashes = np.empty(len(rows), dtype=np.uint64)
+    for r in range(0, len(rows), step):
+        words = (rows[r : r + step] + 0.0).view(np.uint64)
+        words ^= words >> 31
+        hashes[r : r + step] = _row_hashes(words)
     order = np.argsort(hashes)
     hashes = hashes[order]
     head = np.empty(len(order), dtype=bool)
@@ -128,20 +135,23 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     group = np.cumsum(head) - 1  # the group of each position in hash order
     first = order[head]
     rest = np.flatnonzero(~head)
-    proved = (words[order[rest]] == words[first[group[rest]]]).all(axis=1)
+    proved = np.empty(len(rest), dtype=bool)
+    for s in range(0, len(rest), step):
+        at = rest[s : s + step]
+        equal = columns.take(order[at], axis=1) == columns.take(first[group[at]], axis=1)
+        proved[s : s + step] = equal.all(axis=0)
     if not proved.all():
         # A hash collision: give each colliding group's rows new groups by
         # their bytes, then number the groups 0, 1, ... again.
         colliding = np.isin(group, group[rest[~proved]])
-        keys = np.ascontiguousarray(words[order[colliding]])
+        keys = np.ascontiguousarray(rows[order[colliding]]) + 0.0
         keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
         group[colliding] = len(first) + np.unique(keys, return_inverse=True)[1]
         _, at, group = np.unique(group, return_index=True, return_inverse=True)
         first = order[at]
     inverse = np.empty_like(order)
     inverse[order] = group
-    distinct = rows.T.take(first, axis=1).T
-    return distinct, inverse, np.bincount(group, minlength=len(first))
+    return first, inverse, np.bincount(group, minlength=len(first))
 
 
 def _splitting_column(low: np.ndarray, high: np.ndarray, eps: float) -> int:
@@ -153,52 +163,58 @@ def _splitting_column(low: np.ndarray, high: np.ndarray, eps: float) -> int:
 
 
 def _fingerprint_index(space: SigmaSpace):
-    """The distinct fingerprint rows, sorted on one key column.
+    """The probe rows and their distinct rows, sorted on one key column.
 
-    Returns (reps, keys, sizes, position): reps is a C-contiguous
-    (width, u) array whose column k is representative k, width n or 2n
-    as _probe_rows chose, since window checks reduce down columns; keys
-    holds two rows of reps, the sort key, by which reps is sorted
-    ascending, then a second key that prefilters window candidates;
-    sizes[k] counts the vectors with representative k; position[v] is
-    the representative of vector v. _splitting_column picks both keys:
-    the key from neighbours in each column's sorted values over the
-    first _KEY_SAMPLE distinct rows in hash order, the second from
-    neighbours in key order within the tolerance of each other. The
-    keys change only the speed of a window join, never its pairs.
+    Returns (rows, cols, keys, sizes, position): rows is the C-contiguous
+    (width, n²) array of _probe_rows, one vector per column, width n or
+    2n, which is never copied; cols holds the representatives' column
+    numbers in rows, sorted ascending on the sort key; keys holds two
+    rows of rows gathered at cols, the sort key, then a second key that
+    prefilters window candidates; sizes[k] counts the vectors with
+    representative k; position[v] is the representative of vector v.
+    _splitting_column picks both keys: the key from neighbours in each
+    column's sorted values over the first _KEY_SAMPLE distinct rows in
+    hash order, the second from neighbours in key order within the
+    tolerance of each other. The keys change only the speed of a window
+    join, never its pairs.
     """
     eps = space.tolerance
-    distinct, inverse, sizes = _unique_rows(_probe_rows(space))
-    sample = np.sort(distinct[:_KEY_SAMPLE].T, axis=1)
+    rows = _probe_rows(space).T
+    first, inverse, sizes = _unique_rows(rows.T)
+    sample = np.sort(rows.take(first[:_KEY_SAMPLE], axis=1), axis=1)
     key = _splitting_column(sample[:, :-1], sample[:, 1:], eps)
-    order = np.argsort(distinct[:, key], kind="stable")
+    order = np.argsort(rows[key].take(first), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     position = rank[inverse]
-    reps = distinct.T.take(order, axis=1)
+    cols = first[order]
     # Window-mates: neighbours in key order within eps of each other.
-    near = np.flatnonzero(reps[key, 1:] - reps[key, :-1] <= eps)
-    second = _splitting_column(reps[:, near], reps[:, near + 1], eps)
-    return reps, reps[[key, second]], sizes[order], position
+    sorted_key = rows[key].take(cols)
+    near = np.flatnonzero(sorted_key[1:] - sorted_key[:-1] <= eps)
+    second = _splitting_column(
+        rows.take(cols[near], axis=1), rows.take(cols[near + 1], axis=1), eps
+    )
+    return rows, cols, rows[np.ix_((key, second), cols)], sizes[order], position
 
 
-def _window_matches(candidates, keys, queries, targets, eps: float, n: int, first=0):
-    """Pairs (t, c) where the row targets(t) agrees with column c of candidates.
+def _window_matches(rows, cols, keys, queries, targets, eps: float, n: int, first=0):
+    """Pairs (t, c) where the row targets(t) agrees with candidate c.
 
-    candidates holds the rows, halves of n floats, as the columns of a
-    C-contiguous (width, u) array, sorted on keys[0]; keys holds two of
-    its rows and queries the same two columns of the targets, computed
-    as targets(t) computes them; targets(t) returns a (width, len(t))
-    block. Agreeing rows are zero at column 0, so each column of their
-    difference is at most eps: a fixed-radius search on two key columns
-    (Bentley & Friedman, ACM Computing Surveys 11(4), 1979). Only a
-    window of keys[0] around each query is taken (Bentley, Stanat &
-    Williams, IPL 1977); a few ulps of slack let rounding add
+    Candidate c is column cols[c] of rows, a C-contiguous (width, k)
+    array of rows, halves of n floats, one per column, read in place;
+    the candidates are sorted on keys[0]. keys holds two rows of rows
+    gathered at cols, and queries the same two columns of the targets,
+    computed as targets(t) computes them; targets(t) returns a
+    (width, len(t)) block. Agreeing rows are zero at column 0, so each
+    column of their difference is at most eps: a fixed-radius search on
+    two key columns (Bentley & Friedman, ACM Computing Surveys 11(4),
+    1979). Only a window of keys[0] around each query is taken (Bentley,
+    Stanat & Williams, IPL 1977); a few ulps of slack let rounding add
     candidates, never drop one, and fmax drops the NaN slack of infinite
-    values. A candidate whose keys[1] differs from
-    the query by more than eps is dropped: that difference is bitwise a
-    column of the full one, so the range rule would reject it; a NaN
-    difference is kept for the range rule to reject. Windows start no
+    values. A candidate whose keys[1] differs from the query by more
+    than eps is dropped: that difference is bitwise a column of the full
+    one, so the range rule would reject it; a NaN difference is kept for
+    the range rule to reject. Windows start no
     earlier than first, one position for all queries or one per query: a
     self-join (queries is keys) that passes first = t + 1 finds each pair
     once, since every window reaches past its own query. Index pairs are
@@ -211,7 +227,7 @@ def _window_matches(candidates, keys, queries, targets, eps: float, n: int, firs
     lo = np.maximum(np.searchsorted(keys[0], low, "left"), first)
     counts = np.searchsorted(keys[0], high, "right") - lo
     base = np.concatenate(([0], np.cumsum(counts)))
-    step = max(1, _CHUNK // candidates.shape[0])
+    step = max(1, _CHUNK // rows.shape[0])
     found_t, found_c = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
     t0 = 0
     while t0 < len(counts):
@@ -224,7 +240,7 @@ def _window_matches(candidates, keys, queries, targets, eps: float, n: int, firs
         t, c = t[near], c[near]
         for s in range(0, len(t), step):
             ts, cs = t[s : s + step], c[s : s + step]
-            ok = _rows_agree(targets(ts) - candidates.take(cs, axis=1), eps, n)
+            ok = _rows_agree(targets(ts) - rows.take(cols.take(cs), axis=1), eps, n)
             found_t.append(ts[ok])
             found_c.append(cs[ok])
         t0 = t1
@@ -367,20 +383,21 @@ def equivalence_classes(space: SigmaSpace) -> ClassPartition:
     lexicographically, classes sorted by first member.
     """
     n = len(space)
-    reps, keys, _, position = _fingerprint_index(space)
+    rows, cols, keys, _, position = _fingerprint_index(space)
     # Each window starts after its own query, so a pair (a, b) of
     # representatives is checked once, with a < b.
     a, b = _window_matches(
-        reps,
+        rows,
+        cols,
         keys,
         keys,
-        lambda t: reps.take(t, axis=1),
+        lambda t: rows.take(cols.take(t), axis=1),
         space.tolerance,
         n,
-        first=np.arange(1, reps.shape[1] + 1),
+        first=np.arange(1, len(cols) + 1),
     )
 
-    roots = _components(reps.shape[1], a, b)
+    roots = _components(len(cols), a, b)
     # Coherent when each merged class is a clique of agreeing buckets.
     sizes = np.bincount(roots, minlength=len(roots))
     pairs = np.bincount(roots[a], minlength=len(roots))

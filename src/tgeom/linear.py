@@ -258,7 +258,8 @@ def survey_linearity(
     n = len(space)
     eps = space.tolerance
     count = n * n
-    reps, keys, sizes, _ = _fingerprint_index(space)
+    rows, cols, keys, sizes, _ = _fingerprint_index(space)
+    reps = rows.take(cols, axis=1)
     u = len(sizes)
     weight = np.outer(sizes, sizes).ravel()
 
@@ -272,7 +273,8 @@ def survey_linearity(
             queries = ((a * keys)[:, :, None] + (b * keys)[:, None, :]).reshape(2, -1)
             scaled_a, scaled_b = a * reps, b * reps
             found, _ = _window_matches(
-                reps,
+                rows,
+                cols,
                 keys,
                 queries,
                 lambda t: scaled_a.take(t // u, axis=1) + scaled_b.take(t % u, axis=1),

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -571,11 +572,11 @@ def test_components_match_breadth_first_search():
     assert (_components(*graphs[1]) == np.arange(7)).all()
 
 
-def _self_join_pairs(reps, keys, eps, n, first=0):
+def _self_join_pairs(rows, cols, keys, eps, n, first=0):
     def own(t):
-        return reps.take(t, axis=1)
+        return rows.take(cols.take(t), axis=1)
 
-    t, c = _window_matches(reps, keys, keys, own, eps, n, first=first)
+    t, c = _window_matches(rows, cols, keys, keys, own, eps, n, first=first)
     return set(zip(t.tolist(), c.tolist()))
 
 
@@ -604,20 +605,23 @@ def test_one_sided_self_join_finds_each_pair_once(monkeypatch, chunk):
     # columns, and many matches.
     tied = rng.integers(0, 4, size=(8, 60)).astype(float)
     tied[[0, 4]] = 0.0  # each half zero at column 0, as fingerprint rows are
-    tied = tied[:, np.argsort(tied[2], kind="stable")]
-    inputs = [(np.ascontiguousarray(tied), tied[[2, 3]], 1.0, 4)]
+    # Its candidates are read in key order through a shuffled cols.
+    cols = rng.permutation(tied.shape[1])
+    cols = cols[np.argsort(tied[2, cols], kind="stable")]
+    inputs = [(tied, cols, tied[np.ix_([2, 3], cols)], 1.0, 4)]
     for scale in (0.125, 0.25, 0.5, 1.0):
         space = perturbed_grid(rng, 3, scale)
-        reps, keys, _, _ = _fingerprint_index(space)
-        inputs.append((reps, keys, space.tolerance, len(space)))
+        rows, cols, keys, _, _ = _fingerprint_index(space)
+        inputs.append((rows, cols, keys, space.tolerance, len(space)))
     matched = 0
-    for reps, keys, eps, n in inputs:
-        full = _self_join_pairs(reps, keys, eps, n)
+    for rows, cols, keys, eps, n in inputs:
+        reps = rows.take(cols, axis=1)
+        full = _self_join_pairs(rows, cols, keys, eps, n)
         assert full == _all_pairs(reps, reps, eps, n)
         below = {(t, c) for t, c in full if t < c}
         assert {(c, t) for t, c in full if t > c} == below
-        first = np.arange(1, reps.shape[1] + 1)
-        one_sided = _self_join_pairs(reps, keys, eps, n, first)
+        first = np.arange(1, len(cols) + 1)
+        one_sided = _self_join_pairs(rows, cols, keys, eps, n, first)
         assert one_sided == below
         matched += len(below)
     assert matched > 0
@@ -639,18 +643,18 @@ def test_two_key_join_of_survey_targets_equals_all_pairs(monkeypatch, chunk):
     rng = np.random.default_rng(30)
     overflowed = False
     for space in [at_bound] + [perturbed_grid(rng, 3, scale) for scale in (0.125, 1.0)]:
-        reps, keys, _, _ = _fingerprint_index(space)
+        rows, cols, keys, _, _ = _fingerprint_index(space)
+        reps = rows.take(cols, axis=1)
         eps, n = space.tolerance, len(space)
         # Which rows of reps the two keys are, to read them off the targets.
         columns = [int(np.flatnonzero((reps == key).all(axis=1))[0]) for key in keys]
         with np.errstate(over="ignore", invalid="ignore"):
-            # Rows combined as the survey combines representatives: each
-            # of the first nine with every row.
-            rows = _probe_rows(space).T
+            # Probe rows combined as the survey combines representatives:
+            # each of the first nine with every row.
             for a, b in ((1.0, 1.0), (2.0, -1.0), (1e308, 1e308)):
                 every = (a * rows[:, :9, None] + b * rows[:, None, :]).reshape(len(rows), -1)
                 t, c = _window_matches(
-                    reps, keys, every[columns], lambda t: every.take(t, axis=1), eps, n
+                    rows, cols, keys, every[columns], lambda t: every.take(t, axis=1), eps, n
                 )
                 assert set(zip(t.tolist(), c.tolist())) == _all_pairs(reps, every, eps, n)
                 overflowed |= bool(np.isnan(every).any() and np.isinf(every).any())
@@ -898,11 +902,11 @@ def _groups(inverse):
 
 
 def _assert_same_partition_as_numpy(rows):
-    reps, inverse, counts = _unique_rows(rows)
+    first, inverse, counts = _unique_rows(rows)
     _, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
     assert _groups(inverse) == _groups(ref_inverse)
-    assert counts.tolist() == np.bincount(inverse, minlength=len(reps)).tolist()
-    assert np.array_equal(reps[inverse], rows)
+    assert counts.tolist() == np.bincount(inverse, minlength=len(first)).tolist()
+    assert np.array_equal(rows[first][inverse], rows)
 
 
 @settings(max_examples=300, deadline=None)
@@ -922,8 +926,8 @@ def test_unique_rows_matches_numpy_unique(rows):
 
 def test_unique_rows_of_no_rows():
     rows = np.full((4, 6), np.inf)
-    reps, inverse, counts = _unique_rows(rows[np.isfinite(rows).all(axis=1)])
-    assert reps.shape == (0, 6) and len(inverse) == 0 and len(counts) == 0
+    first, inverse, counts = _unique_rows(rows[np.isfinite(rows).all(axis=1)])
+    assert len(first) == 0 and len(inverse) == 0 and len(counts) == 0
 
 
 @settings(max_examples=100, deadline=None)
@@ -1069,6 +1073,108 @@ def test_hash_collisions_are_split_bytewise(forced):
     assert min(distinct[:-1]) > 1 and distinct[-1] == 1
 
 
+def _many_block_inputs():
+    # Rows of more than one _CHUNK block: the 8x8 grid's 4,096 rows of 64
+    # floats, 32 blocks, and a random asymmetric 24-point table's 576 rows
+    # of 48 floats with their negations, 7 blocks.
+    rows = _probe_rows(make_table(np.random.default_rng(99), 24, symmetric=False))
+    return [
+        _probe_rows(build_grid_space(GridSpec(dim=2, size=8))),
+        np.concatenate((rows, -rows)),
+    ]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_hashes_of_many_blocks_are_the_hashes_of_the_whole():
+    # Each block is folded and mixed as the whole would be: the block
+    # hashes, in row order, are those of the whole folded, mixed array.
+    row_hashes, blocks = equivalence._row_hashes, []
+
+    def kept(words):
+        blocks.append((words.size, row_hashes(words)))
+        return blocks[-1][1]
+
+    counts = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_row_hashes", kept)
+        for rows in _many_block_inputs():
+            blocks.clear()
+            _assert_same_partition_as_numpy(rows)
+            words = (rows + 0.0).view(np.uint64)
+            words ^= words >> 31
+            hashes = np.concatenate([h for _, h in blocks])
+            assert np.array_equal(hashes, row_hashes(words))
+            assert max(size for size, _ in blocks) <= equivalence._CHUNK
+            counts.append(len(blocks))
+    assert counts == [32, 7]
+
+
+@pytest.mark.parametrize(
+    "forced",
+    [
+        lambda words: np.zeros(len(words), np.uint64),
+        lambda words: words[:, -1].copy(),
+    ],
+    ids=["one-group", "last-word"],
+)
+def test_hash_collisions_across_blocks_are_split_bytewise(forced):
+    # A forced hash shared by unequal rows of different blocks: the proof
+    # and the collision rule work on the whole input, not per block.
+    hashed = []
+
+    def kept(words):
+        hashed.append(forced(words))
+        return hashed[-1]
+
+    crossing = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(equivalence, "_row_hashes", kept)
+        for rows in _many_block_inputs():
+            hashed.clear()
+            _assert_same_partition_as_numpy(rows)
+            hashed.clear()
+            inverse = _unique_rows(rows)[1]
+            block = np.arange(len(rows)) // len(hashed[0])
+            hashes = np.concatenate(hashed)
+            for h in np.unique(hashes):
+                shared = hashes == h
+                groups, blocks = (len(np.unique(a[shared])) for a in (inverse, block))
+                crossing += groups > 1 and blocks > 1
+    assert crossing > 0
+
+
+def _classes_peak(space):
+    """The peak of equivalence_classes' traced allocations."""
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing")
+    tracemalloc.start()
+    try:
+        equivalence_classes(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize(
+    "make, halves, bound",
+    [
+        (lambda: make_table(np.random.default_rng(42), 40, symmetric=False), 2, 2.0),
+        (lambda: build_grid_space(GridSpec(dim=2, size=8)), 1, 1.5),
+        (lambda: build_grid_space(GridSpec(dim=2, size=12)), 1, 1.5),
+    ],
+    ids=["random-asymmetric-40", "grid-8x8", "grid-12x12"],
+)
+def test_partition_peaks_near_its_probe_rows(make, halves, bound):
+    # The index reads the probe rows in place, 8·n³ bytes per half, and
+    # hashes and proves them in blocks of _CHUNK floats: a full-size
+    # folded copy, or a gather of the representatives, fails here.
+    space = make()
+    n = len(space)
+    assert _probe_rows(space).shape == (n * n, halves * n)
+    assert _classes_peak(space) <= bound * 8 * halves * n**3
+
+
 def test_splitting_column_counts_gaps_wider_than_the_tolerance():
     low = np.zeros((4, 3))
     high = np.array(
@@ -1119,7 +1225,8 @@ def test_sort_key_keeps_windows_narrow_on_a_deformed_grid():
     deformed = perturbed_grid(np.random.default_rng(93), 4, 0.25, {(1, 2)})
     sums = []
     for space in (exact, deformed):
-        reps, keys, _, _ = _fingerprint_index(space)
+        rows, cols, keys, _, _ = _fingerprint_index(space)
+        reps = rows.take(cols, axis=1)
         distinct = [len(np.unique(column)) for column in reps]
         most = reps[int(np.argmax(distinct))]
         sums.append([_window_sizes(k, space.tolerance) for k in (keys[0], most)])
@@ -1143,10 +1250,10 @@ def _patched_results(space, forced=None):
             patch.setattr(equivalence, "_splitting_column", chosen)
         partition = equivalence_classes(space)
         survey = survey_linearity(space, coeffs)
-        reps, keys, _, _ = _fingerprint_index(space)
+        rows, cols, keys, _, _ = _fingerprint_index(space)
     if forced is not None:
         assert next(calls) == 6
-        _assert_same_floats(keys[forced[0]], reps[forced[1]])
+        _assert_same_floats(keys[forced[0]], rows[forced[1]].take(cols))
     return partition.classes, partition.method, partition.coherent, survey
 
 

@@ -317,7 +317,7 @@ def _assert_survey_matches_solver(space, c=Coefficients(1.0, 1.0)):
     """
     row = survey_linearity(space, [c]).rows[0]
     n = len(space)
-    position = _fingerprint_index(space)[3]
+    position = _fingerprint_index(space)[4]
     vectors = [Vector(p, q) for p in space.points for q in space.points]
     manual = most = 0
     for v, w in itertools.product(vectors, repeat=2):
